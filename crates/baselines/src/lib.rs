@@ -37,7 +37,7 @@ use sap_stream::{AlgorithmKind, SapError, SlidingTopK, WindowSpec};
 /// engine crate; `Some(Err(_))` reports invalid baseline parameters.
 ///
 /// The box is `Send` so built engines can cross into a
-/// [`ShardedHub`](sap_stream::ShardedHub) worker thread; it coerces to a
+/// [`AsyncHub`](sap_stream::AsyncHub) worker thread; it coerces to a
 /// plain `Box<dyn SlidingTopK>` wherever `Send` is not needed.
 pub fn from_kind(
     spec: WindowSpec,

@@ -1,5 +1,5 @@
-//! Hub scaling: sequential `Hub` vs `ShardedHub` fan-out, swept over
-//! shard count × query count on one shared stock stream.
+//! Hub scaling: sequential `Hub` vs `AsyncHub::new(n, n)` fan-out, swept
+//! over shard count × query count on one shared stock stream.
 //!
 //! This is the smoke-level companion to `experiments hub` (which runs the
 //! full 10⁴-query sweep and records `BENCH_hub.json`): small enough to
@@ -7,7 +7,7 @@
 //! fan-out loop show up here first.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sap_bench::{hub_query_mix, run_hub_sequential, run_hub_sharded};
+use sap_bench::{hub_query_mix, register_count_mix, run_hub_async, run_hub_sequential, Feed};
 use sap_stream::generators::{Dataset, Workload};
 
 const LEN: usize = 2_000;
@@ -26,9 +26,17 @@ fn bench_hub_scaling(c: &mut Criterion) {
         );
         for shards in [1usize, 2, 4, 8] {
             group.bench_with_input(
-                BenchmarkId::new(format!("sharded/q{queries}"), shards),
+                BenchmarkId::new(format!("async/q{queries}"), shards),
                 &mix,
-                |b, mix| b.iter(|| run_hub_sharded(mix, &data, CHUNK, shards).updates),
+                |b, mix| {
+                    b.iter(|| {
+                        let register = |hub: &mut _| register_count_mix(hub, mix);
+                        let feed = Feed::Plain(&data);
+                        run_hub_async(register, feed, CHUNK, 0, shards, shards, None)
+                            .0
+                            .updates
+                    })
+                },
             );
         }
     }

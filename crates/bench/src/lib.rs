@@ -16,8 +16,8 @@ use sap_core::{Sap, SapConfig, TimeBased};
 use sap_stream::generators::{Dataset, Workload};
 use sap_stream::{
     checksum_fold, diff_snapshots, run, AsyncHub, EngineFactory, FifoScheduler, Hub, HubStats,
-    Object, Predicate, QueryId, QuerySpec, QueryUpdate, RunSummary, SapError, SeededScheduler,
-    ShardedHub, SlidingTopK, TimedObject, TimedSpec, TimedTopK, WindowSpec, CHECKSUM_SEED,
+    Object, Predicate, QueryId, QuerySpec, QueryUpdate, RunSummary, SapError, Scheduler,
+    SeededScheduler, SlidingTopK, TimedObject, TimedSpec, TimedTopK, WindowSpec, CHECKSUM_SEED,
 };
 
 mod alloc;
@@ -67,7 +67,7 @@ impl Algo {
     }
 
     /// Instantiates the algorithm for a query. The box is `Send` so the
-    /// same factory serves the sharded hub's worker threads; it coerces
+    /// same factory serves the parallel hub's worker threads; it coerces
     /// to a plain `Box<dyn SlidingTopK>` where `Send` is not needed.
     pub fn build(&self, spec: WindowSpec) -> Box<dyn SlidingTopK + Send> {
         match self {
@@ -177,17 +177,17 @@ impl Table {
 }
 
 /// One measured hub configuration from [`run_hub_sequential`] /
-/// [`run_hub_sharded`]: wall-clock time plus the evidence needed to call
+/// [`run_hub_async`]: wall-clock time plus the evidence needed to call
 /// the runs equivalent.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HubRun {
-    /// Total wall-clock time for publishing (and, for the sharded hub,
+    /// Total wall-clock time for publishing (and, for the parallel hub,
     /// draining) the whole stream.
     pub elapsed: Duration,
     /// Number of `QueryUpdate`s delivered across all queries.
     pub updates: u64,
     /// Order-sensitive checksum over every update in `(QueryId, slide)`
-    /// order — identical between the sequential and sharded hubs when
+    /// order — identical between the sequential and parallel hubs when
     /// (and only when) they delivered identical results.
     pub checksum: u64,
     /// Slides served to a query from a shared group digest (0 for runs
@@ -226,7 +226,7 @@ pub fn hub_query_mix(count: usize) -> Vec<(Algo, WindowSpec)> {
 /// Folds one update into the running hub checksum: the query handle, the
 /// slide index, and the driver's snapshot checksum. Updates must be fed
 /// in `(QueryId, slide)` order for cross-run comparability — exactly the
-/// order `ShardedHub::drain` returns and the order the sequential hub's
+/// order `AsyncHub::drain` returns and the order the sequential hub's
 /// per-publish batches already have.
 pub fn hub_checksum_fold(acc: u64, update: &QueryUpdate) -> u64 {
     let tagged = [
@@ -261,81 +261,104 @@ pub fn run_hub_sequential(mix: &[(Algo, WindowSpec)], data: &[Object], chunk: us
     }
 }
 
-/// Publishes `data` to a [`ShardedHub`] with `shards` workers serving
-/// `mix`, draining after every chunk (which bounds the shard-side update
-/// accumulation and exercises the determinism barrier). Timing covers
-/// publish + drain, so the comparison against [`run_hub_sequential`]
-/// includes all coordination overhead.
-pub fn run_hub_sharded(
-    mix: &[(Algo, WindowSpec)],
-    data: &[Object],
-    chunk: usize,
-    shards: usize,
-) -> HubRun {
-    let mut hub = ShardedHub::new(shards);
-    for (algo, spec) in mix {
-        hub.register_boxed(algo.build(*spec)).expect("fresh shards");
-    }
-    let mut updates = 0u64;
-    let mut checksum = CHECKSUM_SEED;
-    let started = Instant::now();
-    for c in data.chunks(chunk) {
-        hub.publish(c).expect("no engine panics in the bench mix");
-        for u in hub.drain().expect("no engine panics in the bench mix") {
-            updates += 1;
-            checksum = hub_checksum_fold(checksum, &u);
+/// The stream a [`run_hub_async`] measurement publishes.
+#[derive(Debug, Clone, Copy)]
+pub enum Feed<'a> {
+    /// Plain objects, published with [`AsyncHub::publish`].
+    Plain(&'a [Object]),
+    /// Timestamped objects, published with [`AsyncHub::publish_timed`];
+    /// a final watermark one past the last timestamp closes the trailing
+    /// slides.
+    Timed(&'a [TimedObject]),
+}
+
+impl Feed<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Feed::Plain(data) => data.len(),
+            Feed::Timed(data) => data.len(),
         }
     }
-    HubRun {
-        elapsed: started.elapsed(),
-        updates,
-        checksum,
-        digest_hits: 0,
-        digest_rebuilds: 0,
+
+    fn publish(&self, hub: &mut AsyncHub, lo: usize, hi: usize) -> Result<(), SapError> {
+        match self {
+            Feed::Plain(data) => hub.publish(&data[lo..hi]),
+            Feed::Timed(data) => hub.publish_timed(&data[lo..hi]),
+        }
     }
 }
 
-/// Publishes `data` to an [`AsyncHub`] with `shards` logical shards
-/// served by `workers` reactor threads, draining after every chunk —
-/// the same loop as [`run_hub_sharded`], so timing covers publish +
-/// drain including all coordination. `seed` selects a
-/// [`SeededScheduler`] (schedule-fuzzed runs) instead of the production
-/// [`FifoScheduler`]. Returns the run plus the publisher park count —
-/// the non-blocking-publish evidence for `BENCH_async.json`.
+/// Serves `feed` on an [`AsyncHub`] with `shards` logical shards and
+/// `workers` worker threads, after `register` installed the query mix:
+/// `AsyncHub::new(n, n)` is the one-worker-per-shard configuration, and
+/// `seed` selects a [`SeededScheduler`] (schedule-fuzzed runs) instead of
+/// the production [`FifoScheduler`]. Publishes in chunks of `chunk`
+/// objects and drains after every chunk, which bounds the shard-side
+/// update accumulation and exercises the determinism barrier — so the
+/// checksum is comparable with every sequential runner's over the same
+/// mix. The first `warmup` objects are served untimed; timing covers
+/// every later publish + drain (and the closing watermark of a
+/// [`Feed::Timed`] stream), including all coordination. Returns the run
+/// plus the hub's final [`HubStats`] — sharing counters and
+/// `publisher_parks`, the non-blocking-publish evidence.
 pub fn run_hub_async(
-    mix: &[(Algo, WindowSpec)],
-    data: &[Object],
+    register: impl FnOnce(&mut AsyncHub),
+    feed: Feed<'_>,
     chunk: usize,
+    warmup: usize,
     shards: usize,
     workers: usize,
     seed: Option<u64>,
-) -> (HubRun, u64) {
-    let scheduler: Box<dyn sap_stream::Scheduler> = match seed {
+) -> (HubRun, HubStats) {
+    let scheduler: Box<dyn Scheduler> = match seed {
         Some(seed) => Box::new(SeededScheduler::new(seed)),
         None => Box::new(FifoScheduler),
     };
     let mut hub = AsyncHub::with_scheduler(shards, workers, scheduler);
-    for (algo, spec) in mix {
-        hub.register_boxed(algo.build(*spec)).expect("fresh shards");
-    }
+    register(&mut hub);
     let mut updates = 0u64;
     let mut checksum = CHECKSUM_SEED;
-    let started = Instant::now();
-    for c in data.chunks(chunk) {
-        hub.publish(c).expect("no engine panics in the bench mix");
+    let mut fold = |hub: &mut AsyncHub| {
         for u in hub.drain().expect("no engine panics in the bench mix") {
             updates += 1;
             checksum = hub_checksum_fold(checksum, &u);
         }
+    };
+    let mut serve = |hub: &mut AsyncHub, from: usize, to: usize| {
+        for lo in (from..to).step_by(chunk) {
+            feed.publish(hub, lo, (lo + chunk).min(to))
+                .expect("no engine panics in the bench mix");
+            fold(hub);
+        }
+    };
+    let warmup = warmup.min(feed.len());
+    serve(&mut hub, 0, warmup);
+    let started = Instant::now();
+    serve(&mut hub, warmup, feed.len());
+    if let Feed::Timed(data) = feed {
+        let horizon = data.last().map_or(0, |o| o.timestamp) + 1;
+        hub.advance_time(horizon)
+            .expect("no engine panics in the bench mix");
+        fold(&mut hub);
     }
+    let elapsed = started.elapsed();
+    let stats = hub.stats().expect("no engine panics in the bench mix");
     let run = HubRun {
-        elapsed: started.elapsed(),
+        elapsed,
         updates,
         checksum,
-        digest_hits: 0,
-        digest_rebuilds: 0,
+        digest_hits: stats.digest_hits,
+        digest_rebuilds: stats.digest_rebuilds,
     };
-    (run, hub.publisher_parks())
+    (run, stats)
+}
+
+/// Registers a count-based mix ([`hub_query_mix`]) on a parallel hub —
+/// the [`run_hub_async`] setup of the `hub` and `async` presets.
+pub fn register_count_mix(hub: &mut AsyncHub, mix: &[(Algo, WindowSpec)]) {
+    for (algo, spec) in mix {
+        hub.register_boxed(algo.build(*spec)).expect("fresh shards");
+    }
 }
 
 /// Heterogeneous **mixed-model** query set for the timed hub bench:
@@ -419,17 +442,9 @@ pub fn run_timed_hub_sequential(
     }
 }
 
-/// The sharded counterpart of [`run_timed_hub_sequential`]: publishes
-/// the timed stream to a [`ShardedHub`] with `shards` workers, draining
-/// after every chunk. Checksums are comparable across the two runners —
-/// equal iff the hubs delivered identical results.
-pub fn run_timed_hub_sharded(
-    mix: &[(Algo, QuerySpec)],
-    data: &[TimedObject],
-    chunk: usize,
-    shards: usize,
-) -> HubRun {
-    let mut hub = ShardedHub::new(shards);
+/// Registers a mixed count+timed mix ([`timed_query_mix`]) on a
+/// parallel hub — the [`run_hub_async`] setup of the `timed` preset.
+pub fn register_timed_mix(hub: &mut AsyncHub, mix: &[(Algo, QuerySpec)]) {
     for (algo, spec) in mix {
         match spec {
             QuerySpec::Count(spec) => {
@@ -440,31 +455,6 @@ pub fn run_timed_hub_sharded(
                     .expect("fresh shards");
             }
         }
-    }
-    let horizon = data.last().map_or(0, |o| o.timestamp) + 1;
-    let mut updates = 0u64;
-    let mut checksum = CHECKSUM_SEED;
-    let started = Instant::now();
-    let fold = |hub: &mut ShardedHub, updates: &mut u64, checksum: &mut u64| {
-        for u in hub.drain().expect("no engine panics in the bench mix") {
-            *updates += 1;
-            *checksum = hub_checksum_fold(*checksum, &u);
-        }
-    };
-    for c in data.chunks(chunk) {
-        hub.publish_timed(c)
-            .expect("no engine panics in the bench mix");
-        fold(&mut hub, &mut updates, &mut checksum);
-    }
-    hub.advance_time(horizon)
-        .expect("no engine panics in the bench mix");
-    fold(&mut hub, &mut updates, &mut checksum);
-    HubRun {
-        elapsed: started.elapsed(),
-        updates,
-        checksum,
-        digest_hits: 0,
-        digest_rebuilds: 0,
     }
 }
 
@@ -539,16 +529,10 @@ pub fn run_shared_hub(mix: &[(Algo, TimedSpec)], data: &[TimedObject], chunk: us
     }
 }
 
-/// The sharded counterpart of [`run_shared_hub`]: the same shared mix on
-/// a [`ShardedHub`] with `shards` workers, slide groups shard-local,
-/// draining after every chunk.
-pub fn run_shared_hub_sharded(
-    mix: &[(Algo, TimedSpec)],
-    data: &[TimedObject],
-    chunk: usize,
-    shards: usize,
-) -> HubRun {
-    let mut hub = ShardedHub::new(shards);
+/// Registers a shared mix ([`shared_query_mix`]) on a parallel hub's
+/// digest plane — the [`run_hub_async`] setup of the `shared` preset.
+/// Slide groups stay shard-local.
+pub fn register_shared_mix(hub: &mut AsyncHub, mix: &[(Algo, TimedSpec)]) {
     for (algo, spec) in mix {
         hub.register_shared_boxed(
             algo.build(spec.reduced().expect("mix spec is valid")),
@@ -556,33 +540,6 @@ pub fn run_shared_hub_sharded(
             spec.slide_duration,
         )
         .expect("fresh shards accept valid engines");
-    }
-    let horizon = data.last().map_or(0, |o| o.timestamp) + 1;
-    let mut updates = 0u64;
-    let mut checksum = CHECKSUM_SEED;
-    let started = Instant::now();
-    let fold = |hub: &mut ShardedHub, updates: &mut u64, checksum: &mut u64| {
-        for u in hub.drain().expect("no engine panics in the bench mix") {
-            *updates += 1;
-            *checksum = hub_checksum_fold(*checksum, &u);
-        }
-    };
-    for c in data.chunks(chunk) {
-        hub.publish_timed(c)
-            .expect("no engine panics in the bench mix");
-        fold(&mut hub, &mut updates, &mut checksum);
-    }
-    hub.advance_time(horizon)
-        .expect("no engine panics in the bench mix");
-    fold(&mut hub, &mut updates, &mut checksum);
-    let elapsed = started.elapsed();
-    let stats = hub.stats().expect("no engine panics in the bench mix");
-    HubRun {
-        elapsed,
-        updates,
-        checksum,
-        digest_hits: stats.digest_hits,
-        digest_rebuilds: stats.digest_rebuilds,
     }
 }
 
@@ -633,8 +590,7 @@ pub struct FanoutRun {
 
 impl FanoutRun {
     /// Per-object cost of the pure ingest path. `None` if the chunking
-    /// never produced a quiet publish (or, sharded, where per-call cost
-    /// cannot be attributed across worker threads).
+    /// never produced a quiet publish.
     pub fn quiet_ns_per_object(&self) -> Option<f64> {
         (self.quiet_objects > 0)
             .then(|| self.quiet_elapsed.as_secs_f64() * 1e9 / self.quiet_objects as f64)
@@ -709,48 +665,16 @@ pub fn run_fanout_grouped(mix: &[(Algo, WindowSpec)], data: &[Object], chunk: us
     run_fanout_on(hub, data, chunk)
 }
 
-/// The sharded counterpart of [`run_fanout_grouped`]: the same grouped
-/// mix on a [`ShardedHub`] with `shards` workers — count groups
-/// shard-local via `home_shard` affinity — draining after every chunk.
-/// Quiet publishes are not attributed (publish is asynchronous and the
-/// drain is a barrier), so `quiet_objects` stays 0.
-pub fn run_fanout_grouped_sharded(
-    mix: &[(Algo, WindowSpec)],
-    data: &[Object],
-    chunk: usize,
-    shards: usize,
-) -> FanoutRun {
-    let mut hub = ShardedHub::new(shards);
+/// Registers a count-based mix on a parallel hub's shared count plane —
+/// the [`run_hub_async`] setup of the `fanout` preset. Count groups stay
+/// shard-local.
+pub fn register_grouped_mix(hub: &mut AsyncHub, mix: &[(Algo, WindowSpec)]) {
     for (algo, spec) in mix {
         let reduced = TimedSpec::new(spec.n as u64, spec.s as u64, spec.k)
             .and_then(|t| t.reduced())
             .expect("mix spec reduces");
         hub.register_grouped_boxed(algo.build(reduced), spec.n, spec.s)
             .expect("fresh shards accept valid engines");
-    }
-    let mut updates = 0u64;
-    let mut checksum = CHECKSUM_SEED;
-    let started = Instant::now();
-    for c in data.chunks(chunk) {
-        hub.publish(c).expect("no engine panics in the bench mix");
-        for u in hub.drain().expect("no engine panics in the bench mix") {
-            updates += 1;
-            checksum = hub_checksum_fold(checksum, &u);
-        }
-    }
-    let elapsed = started.elapsed();
-    let stats = hub.stats().expect("no engine panics in the bench mix");
-    FanoutRun {
-        run: HubRun {
-            elapsed,
-            updates,
-            checksum,
-            digest_hits: 0,
-            digest_rebuilds: 0,
-        },
-        stats,
-        quiet_objects: 0,
-        quiet_elapsed: Duration::ZERO,
     }
 }
 
@@ -1170,7 +1094,7 @@ pub struct HotpathRun {
     pub elapsed: Duration,
     /// Objects published during the steady phase.
     pub steady_objects: u64,
-    /// Heap allocations during the steady phase — `None` for sharded
+    /// Heap allocations during the steady phase — `None` for parallel-hub
     /// runs, whose worker threads share the process-global counter.
     pub steady_allocs: Option<u64>,
     /// `QueryUpdate`s delivered across the whole stream.
@@ -1308,7 +1232,8 @@ impl LegacyReplay {
 /// the remainder — plus the final watermark — is timed, with the heap
 /// pressure read from `allocations` (the caller's counting global
 /// allocator). Checksums cover the whole stream and are comparable
-/// across modes and with [`run_hotpath_sharded`].
+/// across modes and with the parallel cross-check
+/// ([`register_hotpath_mix`]).
 pub fn run_hotpath(
     mix: &[HotQuery],
     data: &[TimedObject],
@@ -1374,18 +1299,10 @@ pub fn run_hotpath(
     }
 }
 
-/// The sharded cross-check of [`run_hotpath`]: the same mixed set on a
-/// [`ShardedHub`], draining per chunk — its whole-stream checksum must
-/// equal the sequential runs'. Allocations are not attributed (worker
-/// threads share the global counter), so `steady_allocs` is `None`.
-pub fn run_hotpath_sharded(
-    mix: &[HotQuery],
-    data: &[TimedObject],
-    chunk: usize,
-    warmup: usize,
-    shards: usize,
-) -> HotpathRun {
-    let mut hub = ShardedHub::new(shards);
+/// Registers a hotpath mix ([`hotpath_query_mix`]) on a parallel hub —
+/// the [`run_hub_async`] setup of the `hotpath` preset's cross-check,
+/// whose whole-stream checksum must equal the sequential runs'.
+pub fn register_hotpath_mix(hub: &mut AsyncHub, mix: &[HotQuery]) {
     for q in mix {
         match *q {
             HotQuery::Count(algo, spec) => {
@@ -1404,41 +1321,6 @@ pub fn run_hotpath_sharded(
                 .expect("fresh shards accept valid engines");
             }
         }
-    }
-    let horizon = data.last().map_or(0, |o| o.timestamp) + 1;
-    let mut updates = 0u64;
-    let mut checksum = CHECKSUM_SEED;
-    let fold = |hub: &mut ShardedHub, updates: &mut u64, checksum: &mut u64| {
-        for u in hub.drain().expect("no engine panics in the bench mix") {
-            *updates += 1;
-            *checksum = hub_checksum_fold(*checksum, &u);
-        }
-    };
-    let warmup = warmup.min(data.len());
-    for c in data[..warmup].chunks(chunk) {
-        hub.publish_timed(c)
-            .expect("no engine panics in the bench mix");
-        fold(&mut hub, &mut updates, &mut checksum);
-    }
-    let started = Instant::now();
-    for c in data[warmup..].chunks(chunk) {
-        hub.publish_timed(c)
-            .expect("no engine panics in the bench mix");
-        fold(&mut hub, &mut updates, &mut checksum);
-    }
-    hub.advance_time(horizon)
-        .expect("no engine panics in the bench mix");
-    fold(&mut hub, &mut updates, &mut checksum);
-    let elapsed = started.elapsed();
-    let stats = hub.stats().expect("no engine panics in the bench mix");
-    HotpathRun {
-        elapsed,
-        steady_objects: (data.len() - warmup) as u64,
-        steady_allocs: None,
-        updates,
-        checksum,
-        digest_hits: stats.digest_hits,
-        digest_rebuilds: stats.digest_rebuilds,
     }
 }
 
@@ -1503,7 +1385,15 @@ mod tests {
         assert!(seq.updates > 0);
         assert!(seq.objects_per_sec(data.len()).is_finite());
         for shards in [1, 2, 4] {
-            let par = run_hub_sharded(&mix, &data, 250, shards);
+            let (par, _) = run_hub_async(
+                |hub| register_count_mix(hub, &mix),
+                Feed::Plain(&data),
+                250,
+                0,
+                shards,
+                shards,
+                None,
+            );
             assert_eq!(par.updates, seq.updates, "shards={shards}");
             assert_eq!(par.checksum, seq.checksum, "shards={shards}");
         }
@@ -1519,7 +1409,15 @@ mod tests {
         let seq = run_timed_hub_sequential(&mix, &data, 250);
         assert!(seq.updates > 0);
         for shards in [1, 2, 4] {
-            let par = run_timed_hub_sharded(&mix, &data, 250, shards);
+            let (par, _) = run_hub_async(
+                |hub| register_timed_mix(hub, &mix),
+                Feed::Timed(&data),
+                250,
+                0,
+                shards,
+                shards,
+                None,
+            );
             assert_eq!(par.updates, seq.updates, "shards={shards}");
             assert_eq!(par.checksum, seq.checksum, "shards={shards}");
         }
@@ -1547,10 +1445,17 @@ mod tests {
         );
         assert_eq!(legacy.updates, pooled.updates);
         for shards in [1, 2] {
-            let par = run_hotpath_sharded(&mix, &data, 250, 1_000, shards);
+            let (par, _) = run_hub_async(
+                |hub| register_hotpath_mix(hub, &mix),
+                Feed::Timed(&data),
+                250,
+                1_000,
+                shards,
+                shards,
+                None,
+            );
             assert_eq!(par.checksum, pooled.checksum, "shards={shards}");
             assert_eq!(par.updates, pooled.updates, "shards={shards}");
-            assert_eq!(par.steady_allocs, None);
         }
     }
 
@@ -1589,11 +1494,18 @@ mod tests {
             "no isolated count sessions"
         );
         for shards in [1, 2, 4] {
-            let par = run_fanout_grouped_sharded(&mix, &data, 125, shards);
-            assert_eq!(par.run.updates, iso.run.updates, "shards={shards}");
-            assert_eq!(par.run.checksum, iso.run.checksum, "shards={shards}");
-            assert!(par.stats.count_group_hits > 0, "shards={shards}");
-            assert_eq!(par.quiet_objects, 0, "sharded quiet cost is unattributed");
+            let (par, stats) = run_hub_async(
+                |hub| register_grouped_mix(hub, &mix),
+                Feed::Plain(&data),
+                125,
+                0,
+                shards,
+                shards,
+                None,
+            );
+            assert_eq!(par.updates, iso.run.updates, "shards={shards}");
+            assert_eq!(par.checksum, iso.run.checksum, "shards={shards}");
+            assert!(stats.count_group_hits > 0, "shards={shards}");
         }
     }
 
@@ -1617,7 +1529,15 @@ mod tests {
         );
         assert_eq!(shared.digest_rebuilds, 0, "all registered up front");
         for shards in [1, 2, 4] {
-            let par = run_shared_hub_sharded(&mix, &data, 250, shards);
+            let (par, _) = run_hub_async(
+                |hub| register_shared_mix(hub, &mix),
+                Feed::Timed(&data),
+                250,
+                0,
+                shards,
+                shards,
+                None,
+            );
             assert_eq!(par.updates, iso.updates, "shards={shards}");
             assert_eq!(par.checksum, iso.checksum, "shards={shards}");
             assert!(par.digest_hits > 0, "shards={shards}");

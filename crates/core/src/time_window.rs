@@ -29,7 +29,7 @@
 //!
 //! The adapter implements [`TimedTopK`], which is what plugs it into the
 //! session layer: `TimedSession`, `Hub::register_timed_boxed`, and the
-//! sharded hub all speak that trait, so a time-based query built from
+//! parallel `AsyncHub` all speak that trait, so a time-based query built from
 //! `Query::window_duration(..)` rides the same event/delta machinery as
 //! the count-based ones.
 //!

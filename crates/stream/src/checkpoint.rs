@@ -116,7 +116,8 @@ pub const MIN_FORMAT_VERSION: u32 = 2;
 /// Section tags of the version-3 payload layout (crate-internal; the
 /// framing itself is what [`Encoder::section`] exposes publicly).
 pub(crate) mod tags {
-    /// One registry's full state (one per shard in a sharded checkpoint).
+    /// One registry's full state (one per shard in a parallel hub's
+    /// checkpoint).
     pub const REGISTRY: u8 = 1;
     /// The sessions of one registry.
     pub const SESSIONS: u8 = 2;
@@ -280,8 +281,8 @@ impl Encoder {
     }
 
     /// Splices an already-encoded fragment into this payload — how the
-    /// sharded hub assembles the sections its workers framed on their own
-    /// threads. The fragment must itself be valid section-framed payload;
+    /// parallel hub assembles the sections its shards framed on their
+    /// worker threads. The fragment must itself be valid section-framed payload;
     /// nothing re-validates it here.
     pub(crate) fn put_encoded(&mut self, fragment: &[u8]) {
         self.buf.extend_from_slice(fragment);

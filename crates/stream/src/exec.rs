@@ -1,38 +1,60 @@
-//! The async hub: a single-reactor executor that serves many shards on
-//! few workers, with a non-blocking publish path.
+//! The parallel hub: a reactor executor that serves many logical shards
+//! on a pool of worker threads, with a non-blocking publish path.
 //!
-//! [`ShardedHub`](crate::shard::ShardedHub) spends one OS thread and one
-//! bounded channel per shard — the right shape while shards ≤ cores, and
-//! a wall once they aren't: a hub serving thousands of logical
-//! partitions cannot afford a thread each, and a publisher that *blocks*
-//! in `send` cannot interleave ingestion with other work. [`AsyncHub`]
-//! is the executor shape the web-scale continuous top-k literature
-//! assumes — many logical partitions multiplexed onto a small reactor
-//! pool with batched wakeups:
+//! [`Hub`](crate::session::Hub) fans every published object out to every
+//! registered query *in the caller's thread*: one slow subscription
+//! stalls the whole ingestion path, and throughput is capped at a single
+//! core. [`AsyncHub`] is the parallel counterpart, in the executor shape
+//! the web-scale continuous top-k literature assumes — many logical
+//! partitions multiplexed onto a small worker pool with batched wakeups.
+//! `AsyncHub::new(n, n)` gives every shard its own worker;
+//! `AsyncHub::new(many, few)` serves thousands of partitions without a
+//! thread each:
 //!
-//! * every logical shard is a `Slot`: a bounded command queue plus the
-//!   same `Registry` a `ShardedHub` worker drives, applied through the
-//!   same interpreter (`apply_command`) — which is what keeps results
-//!   **byte-identical** to the sequential [`Hub`](crate::session::Hub)
-//!   and to `ShardedHub`, by construction rather than by luck;
-//! * a fixed pool of worker threads multiplexes the slots: each wakeup a
-//!   worker claims one ready shard and applies up to
-//!   [`COMMANDS_PER_WAKEUP`] queued commands before re-entering the
-//!   reactor, amortizing the queue crossing. A slide close inside a
-//!   shared group is still **one** queue event fanned out to every
-//!   member via the digest `Arc` refcount bumps, with the members'
-//!   `QueryUpdate`s delivered in the same wakeup's batch;
-//! * [`publish`](AsyncHub::publish) is a single-lock broadcast: one
-//!   mutex crossing enqueues the `Arc` batch on every non-empty shard —
-//!   or **parks** the publisher until the slowest queue has room. The
-//!   non-blocking variants [`poll_ready`](AsyncHub::poll_ready) and
+//! * registered queries are **partitioned across logical shards** by a
+//!   hash of their [`QueryId`]. Every shard is a `Slot`: a bounded command
+//!   queue plus the same `Registry` the sequential
+//!   [`Hub`](crate::session::Hub) runs, applied through one interpreter
+//!   (`apply_command`) — which is what keeps results **byte-identical**
+//!   to the sequential hub by construction rather than by luck. A shard
+//!   is only ever touched by one worker at a time, so sessions need no
+//!   locking;
+//! * the worker pool multiplexes the slots: each wakeup a worker claims
+//!   one ready shard and applies up to [`COMMANDS_PER_WAKEUP`] queued
+//!   commands before re-entering the reactor, amortizing the queue
+//!   crossing. A slide close inside a shared group is still **one** queue
+//!   event fanned out to every member via the digest `Arc` refcount
+//!   bumps, with the members' `QueryUpdate`s delivered in the same
+//!   wakeup's batch;
+//! * [`publish`](AsyncHub::publish) is a single-lock broadcast: one mutex
+//!   crossing enqueues an `Arc` of the batch on every non-empty shard —
+//!   or **parks** the publisher until the slowest queue has room
+//!   (backpressure on the ingestion path instead of unbounded input
+//!   buffering). The non-blocking variants
+//!   [`poll_ready`](AsyncHub::poll_ready) and
 //!   [`try_publish`](AsyncHub::try_publish) let a caller that refuses to
 //!   park test for room instead, and
-//!   [`publisher_parks`](AsyncHub::publisher_parks) counts the parks so
-//!   a deployment can see whether its queues are deep enough;
-//! * [`drain`](AsyncHub::drain) is the same join-all barrier as the
-//!   sharded hub's, returning updates in the global `(QueryId, slide)`
-//!   order — independent of shard count, worker count, and scheduling.
+//!   [`publisher_parks`](AsyncHub::publisher_parks) counts the parks so a
+//!   deployment can see whether its queues are deep enough. Completed
+//!   results, by contrast, are *retained* shard-side until collected —
+//!   drain at your publish cadence to bound them;
+//! * [`drain`](AsyncHub::drain) is a **barrier**: it waits until every
+//!   shard has processed everything published so far and returns the
+//!   accumulated [`QueryUpdate`]s sorted by `(QueryId, slide)` — a
+//!   deterministic order, independent of shard count, worker count, and
+//!   scheduling, that matches the sequential hub's registration-order
+//!   delivery (ids are handed out in registration order, and each
+//!   query's slides are naturally ascending).
+//!
+//! All window models are served side by side: count-based, isolated
+//! time-based, and the shared digest and count planes, fed together by
+//! [`publish_timed`](AsyncHub::publish_timed). Slide closure driven by
+//! timestamps depends only on the published sequence, never on thread
+//! timing, so the drain order contract is unchanged. Shared queries add
+//! one placement rule: a group's digest producer is **shard-local**
+//! state, so every member of a group lives on the shard where the group
+//! was founded — a query joining an existing group is routed there even
+//! when the hash of its id points elsewhere.
 //!
 //! The quiet publish path performs **zero heap allocations** at steady
 //! state: queues never grow past their bound, publish targets live in a
@@ -63,8 +85,8 @@
 //! #     fn stats(&self) -> OpStats { OpStats::default() }
 //! #     fn name(&self) -> &str { "toy" }
 //! # }
-//! // 8 logical shards served by 2 workers — shards no longer cap at
-//! // core count, and the API is the sharded hub's.
+//! // 8 logical shards served by 2 workers — shards are not capped at
+//! // the core count
 //! let mut hub = AsyncHub::new(8, 2);
 //! let q = hub.register_alg(Toy(WindowSpec::new(2, 1, 2).unwrap(), Vec::new())).unwrap();
 //! assert!(hub.poll_ready().unwrap(), "queues are empty: room for a batch");
@@ -111,39 +133,84 @@
 //! An engine panic is caught at the wakeup boundary: the shard is marked
 //! dead, its registry (and the queries on it) is dropped, and any queued
 //! or future command against it reports the typed
-//! [`SapError::ShardDown`] — the *worker thread survives* and keeps
-//! serving the other shards, so one poisoned engine costs one shard, not
-//! one `1/workers`-th of the hub. Parked publishers are woken to observe
-//! the death instead of hanging. The recovery story is the sharded
-//! hub's: [`checkpoint`](AsyncHub::checkpoint) periodically and
-//! [`restore`](AsyncHub::restore) into a fresh hub — checkpoints are
-//! fully interchangeable between `Hub`, `ShardedHub`, and `AsyncHub`.
+//! [`SapError::ShardDown`] carrying the shard index — never a hub-side
+//! panic. The *worker thread survives* and keeps serving the other
+//! shards, so one poisoned engine costs one shard, not one
+//! `1/workers`-th of the hub. Parked publishers are woken to observe the
+//! death instead of hanging. The hub never revives a dead shard silently
+//! — losing standing queries' state is not something to paper over. The
+//! recovery story: rescue what you need from healthy shards via
+//! [`unregister`](AsyncHub::unregister), or
+//! [`checkpoint`](AsyncHub::checkpoint) periodically and
+//! [`restore`](AsyncHub::restore) the last checkpoint into a fresh hub
+//! (`examples/checkpoint.rs` walks the whole drill). Checkpoints are
+//! fully interchangeable between [`Hub`](crate::session::Hub) and
+//! `AsyncHub`, at any shard count.
+//!
+//! # Elastic operation
+//!
+//! The durability plane doubles as live migration:
+//! [`move_query`](AsyncHub::move_query) transfers one query's session (a
+//! shared or grouped query: its whole group) to a chosen shard between
+//! two publishes, and [`resize`](AsyncHub::resize) re-partitions every
+//! session across a new shard count. Neither perturbs results: slides
+//! completed on the old and new shard meet in the next
+//! [`drain`](AsyncHub::drain), whose global `(QueryId, slide)` sort is
+//! placement-blind.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-use crate::checkpoint::{Checkpoint, EngineFactory};
+use crate::checkpoint::{Checkpoint, Encoder, EngineFactory};
+use crate::control::{
+    apply_command, decode_hub_checkpoint, Command, Placement, ShardParts, ShardRegistry,
+};
+use crate::digest::SharedTimed;
+use crate::events::Snapshot;
 use crate::object::{Object, TimedObject};
 use crate::predicate::Predicate;
 use crate::query::SapError;
-use crate::registry::{HubStats, Registry};
-use crate::session::{QueryId, QueryUpdate};
-use crate::shard::{
-    apply_command, checkpoint_sections_on, decode_hub_checkpoint, drain_on, eject_all_on, flush_on,
-    inspect_on, move_query_on, place_parts_on, register_count_on, register_grouped_on,
-    register_shared_on, register_timed_on, stats_on, unregister_on, Command, CommandPort,
-    Placement, QueryState, ShardRegistry, ShardSession, DEFAULT_QUEUE_CAPACITY,
-    PUBLISH_ONE_COALESCE,
-};
-use crate::window::{SlidingTopK, TimedTopK};
+use crate::registry::{GroupKeys, HubStats, Registry, RegistryParts};
+use crate::session::{AnySession, QueryId, QueryUpdate};
+use crate::window::{SlidingTopK, TimedTopK, WindowSpec};
 
 /// How many queued commands one worker wakeup applies to its claimed
 /// shard before re-entering the reactor. Batching amortizes the lock
 /// crossing and the scheduler pick over the fan-out work; small enough
 /// that a backlogged shard still shares its workers fairly.
 pub const COMMANDS_PER_WAKEUP: usize = 32;
+
+/// Default bound on each shard's queue, in commands. Deep enough to keep
+/// workers busy across bursty publishes, shallow enough that a stalled
+/// shard pushes back on the publisher instead of buffering the stream.
+pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
+
+/// How many singly-published objects [`AsyncHub::publish_one`]
+/// coalesces into one pending batch before forcing a flush. Small enough
+/// that a trickle publisher's objects reach the shards promptly relative
+/// to any barrier, large enough that a tight `publish_one` loop costs one
+/// `Arc` batch per `PUBLISH_ONE_COALESCE` objects instead of one per
+/// object.
+pub const PUBLISH_ONE_COALESCE: usize = 128;
+
+/// A query session (of either window model) whose engine can cross
+/// threads — what an [`AsyncHub`] hands back on
+/// [`unregister`](AsyncHub::unregister).
+pub type ShardSession = AnySession<Box<dyn SlidingTopK + Send>, Box<dyn TimedTopK + Send>>;
+
+/// A point-in-time view of one query, fetched across the shard boundary
+/// by [`AsyncHub::inspect`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueryState {
+    /// Number of slides the query has completed.
+    pub slides: u64,
+    /// The query's most recent top-k emission (descending), empty before
+    /// the first completed slide. Refcounted: crossing the shard boundary
+    /// shares the session's retained `Arc` instead of copying the top-k.
+    pub last_snapshot: Snapshot,
+}
 
 /// How many recycled batch buffers the publish path keeps. A buffer is
 /// reusable once every shard has consumed it, so the pool only needs to
@@ -237,8 +304,8 @@ struct Slot {
     depth_hwm: u64,
 }
 
-/// What a worker checks out: the same registry a `ShardedHub` worker
-/// owns, plus the shard's undrained updates.
+/// What a worker checks out: the shard's registry plus its undrained
+/// updates.
 struct ShardCore {
     registry: ShardRegistry,
     updates: Vec<QueryUpdate>,
@@ -336,8 +403,7 @@ impl Reactor {
 
     /// The publish path: atomically enqueues one command on *every*
     /// target, or parks until that is possible (all-or-nothing, so a
-    /// partially published batch can never exist). One lock crossing
-    /// replaces the sharded hub's per-shard channel sends.
+    /// partially published batch can never exist), in one lock crossing.
     fn broadcast(
         &self,
         targets: &[usize],
@@ -376,11 +442,11 @@ impl Reactor {
             state = self.wait_room(state);
         }
     }
-}
 
-impl CommandPort for Reactor {
     /// Control-command transport: enqueue on one shard, waiting (without
-    /// counting as a publisher park) if its queue is full.
+    /// counting as a publisher park) if its queue is full. A send only
+    /// fails when the shard can no longer process commands — an engine
+    /// panic killed it — reported as the typed [`SapError::ShardDown`].
     fn send(&self, shard: usize, cmd: Command) -> Result<(), SapError> {
         let mut state = self.state();
         loop {
@@ -399,6 +465,40 @@ impl CommandPort for Reactor {
         drop(state);
         self.work_cv.notify_one();
         Ok(())
+    }
+
+    /// Sends one request to `shard` and waits for its reply. The reply
+    /// always travels an `mpsc` channel; a dropped reply sender — the
+    /// shard died before answering — is [`SapError::ShardDown`].
+    fn ask<T>(
+        &self,
+        shard: usize,
+        request: impl FnOnce(mpsc::Sender<T>) -> Command,
+    ) -> Result<T, SapError> {
+        let (reply, rx) = mpsc::channel();
+        self.send(shard, request(reply))?;
+        rx.recv().map_err(|_| SapError::ShardDown { shard })
+    }
+
+    /// Sends one request to each of the first `shards` shards, *then*
+    /// collects the replies in shard order — the shards retire their
+    /// backlogs in parallel.
+    fn ask_all<T>(
+        &self,
+        shards: usize,
+        request: impl Fn(mpsc::Sender<T>) -> Command,
+    ) -> Result<Vec<T>, SapError> {
+        let pending = (0..shards)
+            .map(|shard| {
+                let (reply, rx) = mpsc::channel();
+                self.send(shard, request(reply)).map(|()| rx)
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        pending
+            .into_iter()
+            .enumerate()
+            .map(|(shard, rx)| rx.recv().map_err(|_| SapError::ShardDown { shard }))
+            .collect()
     }
 }
 
@@ -556,24 +656,36 @@ impl<T: Copy> ArcPool<T> {
 }
 
 /// A [`Hub`](crate::session::Hub)-equivalent set of standing queries
-/// partitioned across many logical shards served by few worker threads.
+/// partitioned across logical shards served by a pool of worker threads.
 ///
-/// See the [module docs](self) for the architecture. The API surface is
-/// [`ShardedHub`](crate::shard::ShardedHub)'s — same registration
-/// planes, same drain/flush/inspect/stats, same durability and elastic
-/// operations, interchangeable checkpoints — plus the non-blocking
-/// ingestion pair [`poll_ready`](AsyncHub::poll_ready)/
-/// [`try_publish`](AsyncHub::try_publish) and the
-/// [`publisher_parks`](AsyncHub::publisher_parks) backpressure metric.
+/// See the [module docs](self) for the architecture. Differences from the
+/// sequential hub's API surface:
+///
+/// * [`publish`](AsyncHub::publish) returns nothing — results accumulate
+///   shard-side and are collected by [`drain`](AsyncHub::drain), which
+///   doubles as the determinism barrier;
+/// * registered engines must be [`Send`] (a shard's core moves between
+///   worker threads); every algorithm in this workspace is;
+/// * `publish` may **park** (backpressure) while any recipient queue is
+///   full — [`poll_ready`](AsyncHub::poll_ready)/
+///   [`try_publish`](AsyncHub::try_publish) refuse instead, and
+///   [`publisher_parks`](AsyncHub::publisher_parks) counts the parks.
 pub struct AsyncHub {
     reactor: Arc<Reactor>,
     workers: Vec<JoinHandle<()>>,
+    /// The routing/bookkeeping state — see [`Placement`].
     placement: Placement,
-    /// Coalesced `publish_one` tail — identical contract to the sharded
-    /// hub's ([`PUBLISH_ONE_COALESCE`]).
+    /// Objects accepted by [`publish_one`](AsyncHub::publish_one) and not
+    /// yet shipped: they coalesce into one `Arc` batch per
+    /// [`PUBLISH_ONE_COALESCE`] objects (or per intervening operation)
+    /// instead of one per object. Flushed — preserving publish order —
+    /// before any other command is enqueued, so ordering guarantees are
+    /// unchanged.
     pending_one: Vec<Object>,
     /// Updates rescued from a [`resize`](AsyncHub::resize), merged into
-    /// the next [`drain`](AsyncHub::drain).
+    /// the next [`drain`](AsyncHub::drain) — the global
+    /// `(QueryId, slide)` sort puts them exactly where an uninterrupted
+    /// run would have.
     parked_updates: Vec<QueryUpdate>,
     /// Reused publish-target scratch (the non-empty shards).
     targets: Vec<usize>,
@@ -598,12 +710,10 @@ impl std::fmt::Debug for AsyncHub {
 }
 
 impl AsyncHub {
-    /// An executor with `num_shards` logical shards served by
-    /// `num_workers` threads (both clamped to ≥ 1), the
-    /// [`DEFAULT_QUEUE_CAPACITY`], and the [`FifoScheduler`]. Unlike
-    /// [`ShardedHub::new`](crate::shard::ShardedHub::new), `num_shards`
-    /// costs no thread — shards beyond the core count are exactly the
-    /// point.
+    /// A hub with `num_shards` logical shards served by `num_workers`
+    /// threads (both clamped to ≥ 1), the [`DEFAULT_QUEUE_CAPACITY`], and
+    /// the [`FifoScheduler`]. `AsyncHub::new(n, n)` gives every shard a
+    /// worker of its own; shards beyond the worker count cost no thread.
     pub fn new(num_shards: usize, num_workers: usize) -> AsyncHub {
         AsyncHub::with_config(
             num_shards,
@@ -625,7 +735,8 @@ impl AsyncHub {
 
     /// Fully explicit construction: shard count, worker count, per-shard
     /// queue bound (all clamped to ≥ 1), and scheduler. A capacity of 1
-    /// makes every publish rendezvous with the slowest shard.
+    /// makes every publish rendezvous with the slowest shard (maximum
+    /// backpressure, minimum buffering).
     pub fn with_config(
         num_shards: usize,
         num_workers: usize,
@@ -659,20 +770,28 @@ impl AsyncHub {
         }
     }
 
-    // ---- registration (all four planes, sharded-hub semantics) ----------
+    // ---- registration ----------------------------------------------------
 
-    /// Registers a boxed count-based engine; see
-    /// [`ShardedHub::register_boxed`](crate::shard::ShardedHub::register_boxed)
-    /// — identical id, placement, and error contract.
+    /// Registers a boxed engine as a new standing count-based query and
+    /// returns its handle; the query lands on the shard its id hashes to.
+    /// The query only ever sees objects published after this call. A dead
+    /// target shard is [`SapError::ShardDown`]; the failed registration
+    /// burns its id, so a retry derives a fresh id that may hash onto a
+    /// healthy shard.
     pub fn register_boxed(
         &mut self,
         alg: Box<dyn SlidingTopK + Send>,
     ) -> Result<QueryId, SapError> {
         self.flush_pending_one()?;
-        register_count_on(&mut self.placement, &*self.reactor, alg)
+        let id = self.placement.fresh_id();
+        let shard = self.placement.shard_of(id);
+        self.reactor.send(shard, Command::Register(id, alg))?;
+        self.placement.admit(id, shard);
+        Ok(id)
     }
 
-    /// Registers an owned count-based engine.
+    /// Registers an owned count-based engine (convenience over
+    /// [`register_boxed`](AsyncHub::register_boxed)).
     pub fn register_alg<A: SlidingTopK + Send + 'static>(
         &mut self,
         alg: A,
@@ -680,16 +799,26 @@ impl AsyncHub {
         self.register_boxed(Box::new(alg))
     }
 
-    /// Registers a boxed time-based engine.
+    /// Registers a boxed time-based engine as a new standing query. The
+    /// query slides on event time, so it advances on
+    /// [`publish_timed`](AsyncHub::publish_timed) and
+    /// [`advance_time`](AsyncHub::advance_time) only. Same placement and
+    /// error contract as [`register_boxed`](AsyncHub::register_boxed).
     pub fn register_timed_boxed(
         &mut self,
         engine: Box<dyn TimedTopK + Send>,
     ) -> Result<QueryId, SapError> {
         self.flush_pending_one()?;
-        register_timed_on(&mut self.placement, &*self.reactor, engine)
+        let id = self.placement.fresh_id();
+        let shard = self.placement.shard_of(id);
+        self.reactor
+            .send(shard, Command::RegisterTimed(id, engine))?;
+        self.placement.admit(id, shard);
+        Ok(id)
     }
 
-    /// Registers an owned time-based engine.
+    /// Registers an owned time-based engine (convenience over
+    /// [`register_timed_boxed`](AsyncHub::register_timed_boxed)).
     pub fn register_timed_alg<E: TimedTopK + Send + 'static>(
         &mut self,
         engine: E,
@@ -697,8 +826,20 @@ impl AsyncHub {
         self.register_timed_boxed(Box::new(engine))
     }
 
-    /// Registers on the shared digest plane; see
-    /// [`ShardedHub::register_shared_boxed`](crate::shard::ShardedHub::register_shared_boxed).
+    /// Registers a time-based query `W⟨window_duration, slide_duration⟩`
+    /// on the **shared digest plane** (see
+    /// [`Hub::register_shared_boxed`](crate::session::Hub::register_shared_boxed)
+    /// for the semantics; results are byte-identical to an isolated
+    /// registration). A query joining an existing slide group is placed
+    /// on that group's shard — overriding the id hash, because digest
+    /// producers are shard-local state — and a query founding a new group
+    /// places it by the usual hash.
+    ///
+    /// Wrong engine geometry is a typed [`SapError::Spec`] and burns no
+    /// id. A dead target shard is [`SapError::ShardDown`]; the failed
+    /// registration burns its id but leaves the group's membership
+    /// bookkeeping untouched, so the hub never counts a member that no
+    /// shard owns.
     pub fn register_shared_boxed(
         &mut self,
         engine: Box<dyn SlidingTopK + Send>,
@@ -713,9 +854,13 @@ impl AsyncHub {
         )
     }
 
-    /// Registers on the shared digest plane with a subscription
-    /// predicate; see
-    /// [`ShardedHub::register_shared_filtered_boxed`](crate::shard::ShardedHub::register_shared_filtered_boxed).
+    /// [`register_shared_boxed`](AsyncHub::register_shared_boxed) with a
+    /// **subscription predicate** (see
+    /// [`Hub::register_shared_filtered_boxed`](crate::session::Hub::register_shared_filtered_boxed)
+    /// for the semantics). Predicate-disjoint members of one slide
+    /// duration form separate sub-groups, each placed independently. An
+    /// invalid predicate is a typed [`SapError::InvalidPredicate`] and
+    /// burns no id.
     pub fn register_shared_filtered_boxed(
         &mut self,
         engine: Box<dyn SlidingTopK + Send>,
@@ -724,17 +869,30 @@ impl AsyncHub {
         predicate: Predicate,
     ) -> Result<QueryId, SapError> {
         self.flush_pending_one()?;
-        register_shared_on(
-            &mut self.placement,
-            &*self.reactor,
-            engine,
-            window_duration,
-            slide_duration,
-            predicate,
-        )
+        predicate
+            .validate()
+            .map_err(|reason| SapError::InvalidPredicate { reason })?;
+        let consumer = SharedTimed::from_engine(engine, window_duration, slide_duration)
+            .map_err(SapError::Spec)?;
+        let p = &mut self.placement;
+        let id = p.fresh_id();
+        let key = (slide_duration, predicate);
+        let shard = match p.shared_groups.get(&key) {
+            Some(&(shard, _)) => shard,
+            None => p.shard_of(id),
+        };
+        self.reactor.send(
+            shard,
+            Command::RegisterShared(id, consumer, predicate, shard),
+        )?;
+        p.shared_groups.entry(key).or_insert((shard, 0)).1 += 1;
+        p.shared_sd.insert(id, key);
+        p.admit(id, shard);
+        Ok(id)
     }
 
-    /// Registers an owned engine on the shared digest plane.
+    /// Registers an owned engine on the shared digest plane (convenience
+    /// over [`register_shared_boxed`](AsyncHub::register_shared_boxed)).
     pub fn register_shared_alg<A: SlidingTopK + Send + 'static>(
         &mut self,
         engine: A,
@@ -744,8 +902,17 @@ impl AsyncHub {
         self.register_shared_boxed(Box::new(engine), window_duration, slide_duration)
     }
 
-    /// Registers on the shared count plane; see
-    /// [`ShardedHub::register_grouped_boxed`](crate::shard::ShardedHub::register_grouped_boxed).
+    /// Registers a count-based query `⟨n, k, s⟩` on the **shared count
+    /// plane** (see
+    /// [`Hub::register_grouped_boxed`](crate::session::Hub::register_grouped_boxed)
+    /// for the semantics; results are byte-identical to an isolated
+    /// [`register_boxed`](AsyncHub::register_boxed)). `engine` runs the
+    /// Appendix-A reduction of the spec, `k` is the engine's; a query
+    /// joining a live geometry class is placed on that class's shard —
+    /// count groups are shard-local state, like slide groups — and a
+    /// query founding a new class places it by the usual id hash. Same
+    /// error and bookkeeping contract as
+    /// [`register_shared_boxed`](AsyncHub::register_shared_boxed).
     pub fn register_grouped_boxed(
         &mut self,
         engine: Box<dyn SlidingTopK + Send>,
@@ -755,9 +922,13 @@ impl AsyncHub {
         self.register_grouped_filtered_boxed(engine, n, s, Predicate::default())
     }
 
-    /// Registers on the shared count plane with a subscription
-    /// predicate; see
-    /// [`ShardedHub::register_grouped_filtered_boxed`](crate::shard::ShardedHub::register_grouped_filtered_boxed).
+    /// [`register_grouped_boxed`](AsyncHub::register_grouped_boxed) with a
+    /// **subscription predicate** (see
+    /// [`Hub::register_grouped_filtered_boxed`](crate::session::Hub::register_grouped_filtered_boxed)
+    /// for the semantics). Predicate-disjoint members of one geometry
+    /// class form separate sub-groups, each placed independently. An
+    /// invalid predicate is a typed [`SapError::InvalidPredicate`] and
+    /// burns no id.
     pub fn register_grouped_filtered_boxed(
         &mut self,
         engine: Box<dyn SlidingTopK + Send>,
@@ -767,10 +938,31 @@ impl AsyncHub {
     ) -> Result<QueryId, SapError> {
         // settles `published`, so the geometry key is phase-exact
         self.flush_pending_one()?;
-        register_grouped_on(&mut self.placement, &*self.reactor, engine, n, s, predicate)
+        predicate
+            .validate()
+            .map_err(|reason| SapError::InvalidPredicate { reason })?;
+        let spec = WindowSpec::new(n, engine.spec().k, s).map_err(SapError::Spec)?;
+        let consumer =
+            SharedTimed::from_engine(engine, n as u64, s as u64).map_err(SapError::Spec)?;
+        let p = &mut self.placement;
+        let id = p.fresh_id();
+        let key = (s as u64, p.published % s as u64, predicate);
+        let shard = match p.count_groups_hub.get(&key) {
+            Some(&(shard, _)) => shard,
+            None => p.shard_of(id),
+        };
+        self.reactor.send(
+            shard,
+            Command::RegisterGrouped(id, consumer, spec, predicate, shard),
+        )?;
+        p.count_groups_hub.entry(key).or_insert((shard, 0)).1 += 1;
+        p.grouped_key.insert(id, key);
+        p.admit(id, shard);
+        Ok(id)
     }
 
-    /// Registers an owned engine on the shared count plane.
+    /// Registers an owned engine on the shared count plane (convenience
+    /// over [`register_grouped_boxed`](AsyncHub::register_grouped_boxed)).
     pub fn register_grouped_alg<A: SlidingTopK + Send + 'static>(
         &mut self,
         engine: A,
@@ -780,11 +972,46 @@ impl AsyncHub {
         self.register_grouped_boxed(Box::new(engine), n, s)
     }
 
-    /// Removes a query and returns its session; see
-    /// [`ShardedHub::unregister`](crate::shard::ShardedHub::unregister).
+    /// Removes a query and returns its session (with the engine's full
+    /// state) once its shard has processed everything published before
+    /// this call. Unknown or already-removed handles are a typed
+    /// [`SapError::UnknownQuery`]; a dead shard is
+    /// [`SapError::ShardDown`] (the query's state died with it) and
+    /// leaves the hub's bookkeeping untouched, so retrying keeps
+    /// reporting the dead shard — the query was lost, not unregistered.
     pub fn unregister(&mut self, id: QueryId) -> Result<ShardSession, SapError> {
+        // the departing session must process coalesced publishes first
         self.flush_pending_one()?;
-        unregister_on(&mut self.placement, &*self.reactor, id)
+        let p = &mut self.placement;
+        if !p.registered.contains(&id) {
+            return Err(SapError::UnknownQuery { query: id });
+        }
+        let shard = p.home_shard(id);
+        let session = self
+            .reactor
+            .ask(shard, |reply| Command::Unregister(id, reply))?;
+        p.registered.remove(&id);
+        p.shard_len[shard] -= 1;
+        if let Some(sd) = p.shared_sd.remove(&id) {
+            if let Some(members) = p.shared_groups.get_mut(&sd) {
+                members.1 -= 1;
+                if members.1 == 0 {
+                    // last member out: retire the group so a later
+                    // registrant founds a fresh one, placed anew
+                    p.shared_groups.remove(&sd);
+                }
+            }
+        }
+        if let Some(key) = p.grouped_key.remove(&id) {
+            if let Some(members) = p.count_groups_hub.get_mut(&key) {
+                members.1 -= 1;
+                if members.1 == 0 {
+                    // mirror the registry, which just retired the group
+                    p.count_groups_hub.remove(&key);
+                }
+            }
+        }
+        Ok(session)
     }
 
     // ---- ingestion --------------------------------------------------------
@@ -802,9 +1029,10 @@ impl AsyncHub {
         );
     }
 
-    /// Ships the coalesced `publish_one` tail (see
-    /// [`ShardedHub::flush_pending_one`]'s ordering contract — identical
-    /// here).
+    /// Ships the coalesced `publish_one` buffer as one batch, preserving
+    /// publish order. Called before any other command is enqueued (and on
+    /// drop), so a singly-published object is always ordered exactly
+    /// where its `publish_one` call was.
     fn flush_pending_one(&mut self) -> Result<(), SapError> {
         if self.pending_one.is_empty() {
             return Ok(());
@@ -826,16 +1054,27 @@ impl AsyncHub {
             .broadcast(&self.targets, || Command::Publish(Arc::clone(&batch)))
     }
 
-    /// Publishes a batch to every registered query: one lock crossing
-    /// enqueues a shared `Arc` of the batch on every non-empty shard.
-    /// **Parks** (blocks on the reactor, counted by
-    /// [`publisher_parks`](AsyncHub::publisher_parks)) while any
-    /// recipient queue is full — use
-    /// [`poll_ready`](AsyncHub::poll_ready)/[`try_publish`](AsyncHub::try_publish)
-    /// to refuse that. Results accumulate shard-side until
-    /// [`drain`](AsyncHub::drain); the same drain-regularly advice as
-    /// [`ShardedHub::publish`](crate::shard::ShardedHub::publish)
-    /// applies.
+    /// Publishes a batch of objects to every registered query: one lock
+    /// crossing enqueues a shared `Arc` of the batch on every non-empty
+    /// shard, and the workers apply it concurrently. **Parks** (blocks on
+    /// the reactor, counted by [`publisher_parks`](AsyncHub::publisher_parks))
+    /// while any recipient queue is full — that backpressure is the
+    /// flow-control contract: a publisher can never run unboundedly ahead
+    /// of the slowest shard. Use [`poll_ready`](AsyncHub::poll_ready)/
+    /// [`try_publish`](AsyncHub::try_publish) to refuse parking instead.
+    /// With zero registered queries (or an empty batch) this is an
+    /// explicit no-op.
+    ///
+    /// Results are *not* returned here — they accumulate shard-side and
+    /// are collected, in deterministic order, by
+    /// [`drain`](AsyncHub::drain).
+    ///
+    /// **Drain regularly.** Backpressure bounds the *input* queues, but
+    /// completed [`QueryUpdate`]s are retained (never dropped — they are
+    /// the queries' answers) until the next drain, so accumulation grows
+    /// with the volume published since the last drain — across every
+    /// registered query. Draining once per publish chunk (as the benches
+    /// do) keeps the retained set proportional to one chunk.
     pub fn publish(&mut self, objects: &[Object]) -> Result<(), SapError> {
         if objects.is_empty() || self.placement.registered.is_empty() {
             return Ok(());
@@ -845,7 +1084,10 @@ impl AsyncHub {
     }
 
     /// Publishes a batch of **timestamped** objects (non-decreasing
-    /// timestamps) — the heterogeneous ingestion path, with
+    /// timestamps) to every registered query — the shared ingestion path
+    /// for heterogeneous count- and time-based subscriptions, with the
+    /// same semantics as the sequential
+    /// [`Hub::publish_timed`](crate::session::Hub::publish_timed) and
     /// [`publish`](AsyncHub::publish)'s parking/drain contract.
     pub fn publish_timed(&mut self, objects: &[TimedObject]) -> Result<(), SapError> {
         if objects.is_empty() || self.placement.registered.is_empty() {
@@ -861,7 +1103,10 @@ impl AsyncHub {
             .broadcast(&self.targets, || Command::PublishTimed(Arc::clone(&batch)))
     }
 
-    /// Raises the event-time watermark on every time-based query.
+    /// Raises the event-time watermark on every time-based query (see
+    /// [`Hub::advance_time`](crate::session::Hub::advance_time)). The
+    /// closed slides accumulate shard-side like any other update and come
+    /// back through [`drain`](AsyncHub::drain).
     pub fn advance_time(&mut self, watermark: u64) -> Result<(), SapError> {
         if self.placement.registered.is_empty() {
             return Ok(());
@@ -872,8 +1117,17 @@ impl AsyncHub {
             .broadcast(&self.targets, || Command::AdvanceTime(watermark))
     }
 
-    /// Publishes one object with the sharded hub's **coalescing**
-    /// contract ([`PUBLISH_ONE_COALESCE`] objects per shipped batch).
+    /// Publishes one object, **coalescing** it into a pending batch
+    /// instead of wrapping every object in its own `Arc`: the buffer is
+    /// shipped as one batch after [`PUBLISH_ONE_COALESCE`] objects, or
+    /// earlier when any other operation (a batch publish, a registration,
+    /// [`flush`](AsyncHub::flush), [`drain`](AsyncHub::drain),
+    /// [`inspect`](AsyncHub::inspect), …) needs the queues — so every
+    /// observable ordering guarantee is exactly
+    /// [`publish`](AsyncHub::publish)'s. With zero registered queries the
+    /// object is dropped, same as an empty-hub `publish`. A dead shard may
+    /// therefore be reported by the operation that triggers the flush
+    /// rather than the `publish_one` call that buffered the object.
     pub fn publish_one(&mut self, object: Object) -> Result<(), SapError> {
         if self.placement.registered.is_empty() {
             return Ok(());
@@ -954,39 +1208,70 @@ impl AsyncHub {
 
     // ---- collection -------------------------------------------------------
 
-    /// Barrier without collection: returns once every shard has
-    /// processed everything published so far.
+    /// Barrier without collection: returns once every shard has processed
+    /// everything published so far. Accumulated updates stay shard-side
+    /// for a later [`drain`](AsyncHub::drain).
     pub fn flush(&mut self) -> Result<(), SapError> {
         self.flush_pending_one()?;
-        flush_on(&self.placement, &*self.reactor)
+        self.reactor
+            .ask_all(self.placement.num_shards(), Command::Flush)?;
+        Ok(())
     }
 
-    /// The join-all barrier: waits until every shard has processed
+    /// The barrier that makes the parallel hub observably equivalent to
+    /// the sequential one: waits until every shard has processed
     /// everything published so far, then returns all slides completed
-    /// since the last drain in the global `(QueryId, slide)` order —
-    /// byte-identical to the sequential hub's, independent of shard
-    /// count, worker count, and scheduler.
+    /// since the last drain, sorted by `(QueryId, slide)` — an order
+    /// independent of shard count, worker count, and scheduler.
+    /// Time-based queries keep that contract: their slide indices are
+    /// assigned by event-time closure order, a pure function of the
+    /// published sequence.
     pub fn drain(&mut self) -> Result<Vec<QueryUpdate>, SapError> {
         self.flush_pending_one()?;
-        drain_on(&self.placement, &*self.reactor, &mut self.parked_updates)
+        let drained = self
+            .reactor
+            .ask_all(self.placement.num_shards(), Command::Drain)?;
+        let mut updates = std::mem::take(&mut self.parked_updates);
+        updates.extend(drained.into_iter().flatten());
+        updates.sort_unstable_by_key(|u| (u.query, u.result.slide));
+        Ok(updates)
     }
 
-    /// A point-in-time view of one query; see
-    /// [`ShardedHub::inspect`](crate::shard::ShardedHub::inspect).
+    /// A point-in-time view of one query (slide count + last snapshot),
+    /// reflecting everything published before this call. Unknown handles
+    /// are a typed [`SapError::UnknownQuery`].
     pub fn inspect(&mut self, id: QueryId) -> Result<QueryState, SapError> {
+        // "reflects everything published before this call" includes the
+        // coalesced publish_one buffer
         self.flush_pending_one()?;
-        inspect_on(&self.placement, &*self.reactor, id)
+        if !self.placement.registered.contains(&id) {
+            return Err(SapError::UnknownQuery { query: id });
+        }
+        self.reactor.ask(self.placement.home_shard(id), |reply| {
+            Command::Inspect(id, reply)
+        })
     }
 
-    /// Hub-wide query counts and sharing metrics, summed across shards
-    /// (debug builds audit the group shard-locality invariant the sums
-    /// rely on). The backpressure pair — `publisher_parks` (hub-lifetime
-    /// sum) and `queue_depth_hwm` (max over the current placement) —
-    /// lives reactor-side, so it is overlaid here rather than reported
-    /// by the shard registries.
+    /// Hub-wide query counts and sharing metrics, summed across the
+    /// shards' partials (group state is shard-local, so the sums are
+    /// exact; debug builds audit that invariant and panic on a group
+    /// split across shards instead of silently double-counting
+    /// `digest_groups`/`count_groups`). The backpressure pair —
+    /// `publisher_parks` (hub-lifetime sum) and `queue_depth_hwm` (max
+    /// over the current placement) — lives reactor-side, so it is
+    /// overlaid here rather than reported by the shard registries. A dead
+    /// shard is [`SapError::ShardDown`].
     pub fn stats(&mut self) -> Result<HubStats, SapError> {
         self.flush_pending_one()?;
-        let mut stats = stats_on(&self.placement, &*self.reactor)?;
+        let partials = self
+            .reactor
+            .ask_all(self.placement.num_shards(), Command::Stats)?;
+        let mut stats = HubStats::default();
+        let mut seen = GroupKeys::default();
+        for (shard, (partial, keys)) in partials.iter().enumerate() {
+            seen.absorb_disjoint(keys, shard);
+            stats.merge(partial);
+        }
         let state = self.reactor.state();
         stats.publisher_parks =
             state.retired_parks + state.slots.iter().map(|s| s.parks).sum::<u64>();
@@ -1023,21 +1308,44 @@ impl AsyncHub {
 
     // ---- durability plane -------------------------------------------------
 
-    /// Captures the hub's full serving state as a [`Checkpoint`] after a
-    /// drain barrier — same framing as
-    /// [`ShardedHub::checkpoint`](crate::shard::ShardedHub::checkpoint),
-    /// so checkpoints are interchangeable between all three hub flavors
-    /// at any shard count. Returns the barrier's updates alongside.
+    /// Captures the hub's full serving state as a framed, versioned,
+    /// checksummed [`Checkpoint`] — the parallel counterpart of
+    /// [`Hub::checkpoint`](crate::session::Hub::checkpoint), and
+    /// interchangeable with it: either hub can restore the other's
+    /// checkpoints, at any shard count.
+    ///
+    /// Checkpointing is a **drain-style barrier**: every shard first
+    /// retires its backlog, so the captured state sits on each query's
+    /// current slide boundary. The updates that barrier collected are
+    /// returned alongside the checkpoint — they are slides the captured
+    /// state has already emitted (a restored hub will *not* re-emit
+    /// them), so hand them to whatever consumed your drains.
     pub fn checkpoint(&mut self) -> Result<(Checkpoint, Vec<QueryUpdate>), SapError> {
         let updates = self.drain()?;
-        let checkpoint = checkpoint_sections_on(&self.placement, &*self.reactor)?;
-        Ok((checkpoint, updates))
+        let sections = self
+            .reactor
+            .ask_all(self.placement.num_shards(), Command::CheckpointShard)?;
+        let mut enc = Encoder::new();
+        enc.put_u64(self.placement.next_id);
+        enc.put_usize(sections.len());
+        for section in &sections {
+            enc.put_encoded(section);
+        }
+        Ok((Checkpoint::from_payload(enc.into_payload()), updates))
     }
 
-    /// Rebuilds an async hub (`num_shards` logical shards, `num_workers`
-    /// threads, [`FifoScheduler`]) from a [`Checkpoint`] taken by any
-    /// hub flavor. Same validation and error contract as
-    /// [`ShardedHub::restore`](crate::shard::ShardedHub::restore).
+    /// Rebuilds a hub (`num_shards` logical shards, `num_workers`
+    /// threads, [`FifoScheduler`]) from a [`Checkpoint`] taken by either
+    /// hub at any shard count, constructing each session's engine through
+    /// `factory` and replaying the retained state into it. Sessions are
+    /// re-scattered by the id hash under the new shard count; each group
+    /// lands wholesale on one shard (its lowest-id member's), honoring
+    /// group affinity.
+    ///
+    /// Malformed input is a typed [`SapError::Checkpoint`]; an engine
+    /// name the factory cannot build surfaces as
+    /// [`CheckpointError::UnknownEngine`](crate::checkpoint::CheckpointError::UnknownEngine).
+    /// Never panics on foreign bytes.
     pub fn restore(
         checkpoint: &Checkpoint,
         factory: &dyn EngineFactory,
@@ -1047,29 +1355,201 @@ impl AsyncHub {
         let (next_id, merged) = decode_hub_checkpoint(checkpoint, factory)?;
         let mut hub = AsyncHub::new(num_shards, num_workers);
         hub.placement.next_id = next_id;
-        place_parts_on(&mut hub.placement, &*hub.reactor, merged)?;
+        hub.place_parts(merged)?;
         Ok(hub)
+    }
+
+    /// Scatters merged serving state across fresh (or freshly emptied)
+    /// shards: groups first — each on the shard its lowest-id member
+    /// hashes to, so every member can follow it — then sessions in
+    /// ascending-id order, then the sharing counters onto shard 0 (they
+    /// are hub-wide sums; where they live only affects which shard
+    /// reports them into the stats total).
+    fn place_parts(&mut self, parts: ShardParts) -> Result<(), SapError> {
+        let p = &mut self.placement;
+        let counters = Command::install_counters(&parts);
+        let RegistryParts {
+            sessions,
+            groups,
+            count_groups,
+            ..
+        } = parts;
+        // grouped sessions travel with their count group, not alone — split
+        // them out by canonical group index (ascending id within each group,
+        // since the merged session list is ascending)
+        let mut count_members: Vec<Vec<(QueryId, ShardSession)>> =
+            (0..count_groups.len()).map(|_| Vec::new()).collect();
+        let mut loose = Vec::with_capacity(sessions.len());
+        for (id, session) in sessions {
+            match &session {
+                AnySession::Grouped(g) => count_members[g.group() as usize].push((id, session)),
+                _ => loose.push((id, session)),
+            }
+        }
+        let mut group_home: HashMap<(u64, Predicate), usize> = HashMap::new();
+        for (key, _) in &groups {
+            let lowest = loose
+                .iter()
+                .find_map(|(id, s)| match s {
+                    AnySession::Shared(m)
+                        if m.slide_duration() == key.0 && m.predicate() == key.1 =>
+                    {
+                        Some(*id)
+                    }
+                    _ => None,
+                })
+                .expect("merge validated every group has members");
+            group_home.insert(*key, p.shard_of(lowest));
+        }
+        for (key, producer) in groups {
+            let shard = group_home[&key];
+            self.reactor
+                .send(shard, Command::InstallGroup(key, producer))?;
+            p.shared_groups.insert(key, (shard, 0));
+        }
+        for (state, members) in count_groups.into_iter().zip(count_members) {
+            let lowest = members
+                .first()
+                .expect("merge validated every count group has members")
+                .0;
+            let shard = p.shard_of(lowest);
+            let sd = state.producer.slide_duration();
+            // re-derive the founding offset class against the current
+            // counter: the installed group's open slide has observed `fill`
+            // arrivals (by ordinal — admission pruning withholds objects
+            // from `pending` but never from the ordinal clock), so it last
+            // sat empty `fill` objects ago — class `(published − fill) mod
+            // s`. Merge rejected same-(s, fill, predicate) collisions, so
+            // keys are unique.
+            let key = (
+                sd,
+                (p.published % sd + sd - state.fill() % sd) % sd,
+                state.predicate,
+            );
+            for (id, _) in &members {
+                p.grouped_key.insert(*id, key);
+                p.registered.insert(*id);
+            }
+            p.shard_len[shard] += members.len();
+            p.count_groups_hub.insert(key, (shard, members.len()));
+            self.reactor
+                .send(shard, Command::InstallCountGroup(state, members))?;
+        }
+        for (id, session) in loose {
+            let shard = match &session {
+                AnySession::Shared(s) => {
+                    let key = (s.slide_duration(), s.predicate());
+                    p.shared_sd.insert(id, key);
+                    p.shared_groups.get_mut(&key).expect("group placed above").1 += 1;
+                    group_home[&key]
+                }
+                _ => p.shard_of(id),
+            };
+            self.reactor.send(shard, Command::Install(id, session))?;
+            p.admit(id, shard);
+        }
+        if let Some(counters) = counters {
+            self.reactor.send(0, counters)?;
+        }
+        Ok(())
     }
 
     // ---- elastic operation ------------------------------------------------
 
-    /// Moves one query's live session (a shared or grouped query: its
-    /// whole group) to `shard`; see
-    /// [`ShardedHub::move_query`](crate::shard::ShardedHub::move_query)
-    /// for semantics and panics.
+    /// Moves one query's live session to `shard`, between two publishes —
+    /// i.e. on a slide boundary of the command stream: the session leaves
+    /// its old shard only after every previously published batch is
+    /// applied there, and lands on the new shard before any later batch,
+    /// so it observes the exact same object sequence as an unmoved query.
+    /// Results are unaffected: slides completed on either side meet in
+    /// the next [`drain`](AsyncHub::drain), whose global
+    /// `(QueryId, slide)` sort is placement-blind.
+    ///
+    /// A shared or grouped query moves with its **entire group** — the
+    /// group's producer is shard-local state shared with its co-members,
+    /// so the group travels as one unit and the shard-locality invariant
+    /// holds by construction.
+    ///
+    /// Moving a query to the shard it already lives on is a no-op. A
+    /// shard dying mid-move surfaces as [`SapError::ShardDown`]; the
+    /// sessions in flight are lost with it (exactly as if their new home
+    /// had died a moment later).
+    ///
+    /// # Panics
+    ///
+    /// If `shard >= self.num_shards()` — a placement that cannot exist,
+    /// i.e. a caller bug, not a data-dependent condition.
     pub fn move_query(&mut self, id: QueryId, shard: usize) -> Result<(), SapError> {
         self.flush_pending_one()?;
-        move_query_on(&mut self.placement, &*self.reactor, id, shard)
+        let p = &mut self.placement;
+        let reactor = &self.reactor;
+        assert!(
+            shard < p.num_shards(),
+            "move_query target {shard} out of range ({} shards)",
+            p.num_shards()
+        );
+        if !p.registered.contains(&id) {
+            return Err(SapError::UnknownQuery { query: id });
+        }
+        let source = p.home_shard(id);
+        if source == shard {
+            return Ok(());
+        }
+        let moved = if let Some(&sd) = p.shared_sd.get(&id) {
+            let (producer, members) =
+                reactor.ask(source, |reply| Command::EjectGroup(sd, reply))?;
+            reactor.send(shard, Command::InstallGroup(sd, producer))?;
+            let moved = members.len();
+            for (member, session) in members {
+                reactor.send(shard, Command::Install(member, session))?;
+            }
+            p.shared_groups.insert(sd, (shard, moved));
+            moved
+        } else if let Some(&key) = p.grouped_key.get(&id) {
+            // a grouped count query moves with its entire count group —
+            // same shard-local-state rationale as a slide group
+            let (state, members) =
+                reactor.ask(source, |reply| Command::EjectCountGroup(id, reply))?;
+            let moved = members.len();
+            reactor.send(shard, Command::InstallCountGroup(state, members))?;
+            p.count_groups_hub.insert(key, (shard, moved));
+            moved
+        } else {
+            let session = reactor.ask(source, |reply| Command::Unregister(id, reply))?;
+            reactor.send(shard, Command::Install(id, session))?;
+            if p.shard_of(id) == shard {
+                p.placed.remove(&id);
+            } else {
+                p.placed.insert(id, shard);
+            }
+            1
+        };
+        p.shard_len[source] -= moved;
+        p.shard_len[shard] += moved;
+        Ok(())
     }
 
     /// Re-partitions every live session across `num_shards` fresh
     /// logical shards (clamped to ≥ 1) — the worker threads are reused,
-    /// only the slots are replaced. Same result-invisibility contract as
-    /// [`ShardedHub::resize`](crate::shard::ShardedHub::resize).
+    /// only the slots are replaced. Every shard hands back its entire
+    /// serving state, which is re-scattered by the id hash under the new
+    /// count — groups wholesale, honoring shard affinity. Built on the
+    /// same eject/install plane as [`move_query`](AsyncHub::move_query),
+    /// and results are unaffected for the same reason: sessions observe
+    /// the same object sequence, and updates completed before the resize
+    /// (parked here, returned by the next [`drain`](AsyncHub::drain))
+    /// sort into the same global order.
+    ///
+    /// The eject is **transactional**: every shard's state is staged
+    /// before anything commits. If a shard turns out dead mid-stage, the
+    /// staged parts are reinstalled on the shards they came from and the
+    /// typed [`SapError::ShardDown`] is returned with the old placement
+    /// intact. Placement overrides from earlier `move_query` calls are
+    /// cleared — the new partitioning is pure hash-and-affinity.
     pub fn resize(&mut self, num_shards: usize) -> Result<(), SapError> {
         let num_shards = num_shards.max(1);
         self.flush_pending_one()?;
-        let merged = eject_all_on(&self.placement, &*self.reactor, &mut self.parked_updates)?;
+        let merged = self.eject_all()?;
         // quiesce: eject replies guarantee empty queues, but a worker
         // may still hold a core between unlock and put-back — wait until
         // every live slot is whole before swapping the slot vector
@@ -1087,62 +1567,135 @@ impl AsyncHub {
                 .collect();
         }
         self.placement.reset(num_shards);
-        place_parts_on(&mut self.placement, &*self.reactor, merged)?;
+        self.place_parts(merged)?;
         // fresh slots serve fresh registries, which default to pooling
         // and pruning; re-broadcast disabled knobs
         if !self.class_sharing {
-            self.broadcast_class_sharing()?;
+            self.set_knob(Command::SetClassSharing, false)?;
         }
         if !self.admission_pruning {
-            self.broadcast_admission_pruning()?;
+            self.set_knob(Command::SetAdmissionPruning, false)?;
+        }
+        Ok(())
+    }
+
+    /// Empties every shard for a repartition, transactionally (see
+    /// [`resize`](AsyncHub::resize)). Rescued undrained updates go into
+    /// `parked_updates` on both paths — they are completed slides either
+    /// way, and the next drain's global sort places them correctly.
+    fn eject_all(&mut self) -> Result<ShardParts, SapError> {
+        // stage phase: enqueue every eject (skipping shards that refuse the
+        // send — they are already dead), then collect what actually arrives
+        let mut down: Option<SapError> = None;
+        let mut replies = Vec::with_capacity(self.placement.num_shards());
+        for shard in 0..self.placement.num_shards() {
+            let (reply, rx) = mpsc::channel();
+            match self.reactor.send(shard, Command::EjectAll(reply)) {
+                Ok(()) => replies.push((shard, rx)),
+                Err(err) => down = down.or(Some(err)),
+            }
+        }
+        let mut staged: Vec<(usize, ShardParts)> = Vec::with_capacity(replies.len());
+        for (shard, rx) in replies {
+            match rx.recv() {
+                Ok((part, updates)) => {
+                    self.parked_updates.extend(updates);
+                    staged.push((shard, part));
+                }
+                Err(_) => down = down.or(Some(SapError::ShardDown { shard })),
+            }
+        }
+        if let Some(err) = down {
+            // abort: put every staged part back where it was. A shard dying
+            // *during* the abort loses its own sessions (exactly as if it
+            // had died a moment later), never another shard's.
+            for (shard, part) in staged {
+                self.reinstall_parts(shard, part)?;
+            }
+            return Err(err);
+        }
+        // commit phase: the old shards are empty, merge for the re-scatter
+        RegistryParts::merge(staged.into_iter().map(|(_, part)| part).collect())
+            .map_err(SapError::from)
+    }
+
+    /// Reinstalls one shard's ejected parts back onto the shard they came
+    /// from — the abort path of [`eject_all`](AsyncHub::eject_all). The
+    /// part is un-merged, so its grouped sessions reference its own
+    /// `count_groups` list by canonical index; placement was never
+    /// touched, so no bookkeeping changes here.
+    fn reinstall_parts(&self, shard: usize, parts: ShardParts) -> Result<(), SapError> {
+        let counters = Command::install_counters(&parts);
+        let RegistryParts {
+            sessions,
+            groups,
+            count_groups,
+            ..
+        } = parts;
+        for (key, producer) in groups {
+            self.reactor
+                .send(shard, Command::InstallGroup(key, producer))?;
+        }
+        let mut count_members: Vec<Vec<(QueryId, ShardSession)>> =
+            (0..count_groups.len()).map(|_| Vec::new()).collect();
+        for (id, session) in sessions {
+            match &session {
+                AnySession::Grouped(g) => count_members[g.group() as usize].push((id, session)),
+                _ => self.reactor.send(shard, Command::Install(id, session))?,
+            }
+        }
+        for (state, members) in count_groups.into_iter().zip(count_members) {
+            self.reactor
+                .send(shard, Command::InstallCountGroup(state, members))?;
+        }
+        if let Some(counters) = counters {
+            self.reactor.send(shard, counters)?;
         }
         Ok(())
     }
 
     /// Enables or disables result-class pooling for **future
-    /// registrations** on every shard (default: enabled) — same contract
-    /// as [`ShardedHub::set_result_class_sharing`](crate::shard::ShardedHub::set_result_class_sharing):
-    /// results are byte-identical either way, the knob only trades the
-    /// memoized slide close for per-member serving.
+    /// registrations** on every shard (default: enabled). Serving stays
+    /// byte-identical either way — the knob only trades the memoized
+    /// slide close for per-member serving, for A/B measurement (the
+    /// `floor` bench preset) and for pinning down a suspected sharing
+    /// bug in production. Sessions already registered, and any session
+    /// that travels through a restore or resize, keep their class
+    /// machinery regardless.
     pub fn set_result_class_sharing(&mut self, enabled: bool) -> Result<(), SapError> {
         self.flush_pending_one()?;
         self.class_sharing = enabled;
-        self.broadcast_class_sharing()
-    }
-
-    fn broadcast_class_sharing(&self) -> Result<(), SapError> {
-        for shard in 0..self.placement.num_shards() {
-            self.reactor
-                .send(shard, Command::SetClassSharing(self.class_sharing))?;
-        }
-        Ok(())
+        self.set_knob(Command::SetClassSharing, enabled)
     }
 
     /// Enables or disables ingest-side dominance pruning on every shard
-    /// (default: enabled) — same contract as
-    /// [`ShardedHub::set_admission_pruning`](crate::shard::ShardedHub::set_admission_pruning):
-    /// results are byte-identical either way; disabled is the reference
-    /// arm where [`HubStats::pruned`](crate::HubStats::pruned) stays `0`.
+    /// (default: enabled; see
+    /// [`Hub::set_admission_pruning`](crate::session::Hub::set_admission_pruning)
+    /// for the criterion and the safety argument). Results are
+    /// byte-identical either way; disabled is the reference arm where
+    /// [`HubStats::pruned`] stays `0`. Takes effect for every group,
+    /// existing and future, once each shard processes the toggle — i.e.
+    /// ordered with the publishes around it, like any other command.
     pub fn set_admission_pruning(&mut self, enabled: bool) -> Result<(), SapError> {
         self.flush_pending_one()?;
         self.admission_pruning = enabled;
-        self.broadcast_admission_pruning()
+        self.set_knob(Command::SetAdmissionPruning, enabled)
     }
 
-    fn broadcast_admission_pruning(&self) -> Result<(), SapError> {
+    /// Enqueues one knob toggle on every shard.
+    fn set_knob(&self, knob: fn(bool) -> Command, enabled: bool) -> Result<(), SapError> {
         for shard in 0..self.placement.num_shards() {
-            self.reactor
-                .send(shard, Command::SetAdmissionPruning(self.admission_pruning))?;
+            self.reactor.send(shard, knob(enabled))?;
         }
         Ok(())
     }
 }
 
 impl Drop for AsyncHub {
-    /// Ships any coalesced `publish_one` tail (best effort), then wakes
-    /// and joins the workers. Outstanding commands are processed before
-    /// a worker exits; accumulated updates that were never drained are
-    /// discarded — exactly the sharded hub's drop contract.
+    /// Ships any coalesced `publish_one` tail (best effort: a dead shard
+    /// cannot take it anyway), then wakes and joins the workers.
+    /// Outstanding commands are processed before a worker exits;
+    /// accumulated updates that were never drained are discarded.
     fn drop(&mut self) {
         let _ = self.flush_pending_one();
         self.reactor.state().shutdown = true;
@@ -1157,6 +1710,8 @@ impl Drop for AsyncHub {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::OpStats;
+    use crate::object::top_k_of;
     use crate::session::Hub;
     use crate::test_support::{Toy, ToyTimed};
 
@@ -1327,5 +1882,250 @@ mod tests {
         assert!(hub.drain().unwrap().is_empty());
         assert_eq!(hub.inspect(q).unwrap().slides, 0);
         assert_eq!(hub.publisher_parks(), 0);
+    }
+
+    #[test]
+    fn zero_shards_workers_and_capacity_clamp_to_one() {
+        let mut hub = AsyncHub::with_config(0, 0, 0, Box::new(FifoScheduler));
+        assert_eq!(hub.num_shards(), 1);
+        assert_eq!(hub.num_workers(), 1);
+        assert!(hub.is_empty());
+        hub.register_alg(Toy::new(2, 1, 1)).unwrap();
+        // capacity 1: every publish rendezvous with the shard
+        hub.publish(&stream(3)).unwrap();
+        hub.flush().unwrap();
+        assert_eq!(
+            hub.drain().unwrap().len(),
+            3,
+            "flush must not consume updates"
+        );
+    }
+
+    #[test]
+    fn inspect_reflects_all_prior_publishes() {
+        let mut hub = AsyncHub::new(3, 2);
+        let q = hub.register_alg(Toy::new(4, 2, 2)).unwrap();
+        let data = stream(12);
+        hub.publish(&data).unwrap();
+        let state = hub.inspect(q).unwrap();
+        assert_eq!(state.slides, 6);
+        assert_eq!(state.last_snapshot, top_k_of(&data[8..], 2));
+        let ghost = QueryId::from_raw(999);
+        assert_eq!(
+            hub.inspect(ghost),
+            Err(SapError::UnknownQuery { query: ghost })
+        );
+    }
+
+    /// Irregular-rate timed stream: timestamp gaps cycle through 0..7
+    /// time units, so slides hold wildly varying object counts (empty
+    /// slides included once gaps exceed a slide duration).
+    fn timed_stream(len: usize) -> Vec<TimedObject> {
+        let mut ts = 0u64;
+        (0..len)
+            .map(|i| {
+                ts += (i as u64 * 5 + 3) % 8;
+                TimedObject::new(i as u64, ts, ((i * 37) % 101) as f64)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn timed_inspect_and_unregister_cross_the_shard_boundary() {
+        let mut hub = AsyncHub::new(3, 2);
+        let q = hub.register_timed_alg(ToyTimed::new(20, 10, 2)).unwrap();
+        hub.publish_timed(&timed_stream(40)).unwrap();
+        hub.flush().unwrap();
+        let state = hub.inspect(q).unwrap();
+        assert!(state.slides > 0);
+        let session = hub.unregister(q).unwrap();
+        assert_eq!(session.slides(), state.slides);
+        assert!(session.into_timed().is_some());
+    }
+
+    #[test]
+    fn shared_queries_follow_their_group_even_when_the_hash_disagrees() {
+        let mut hub = AsyncHub::new(8, 2);
+        let pass = Predicate::default();
+        let founder = hub.register_shared_alg(Toy::new(4, 2, 2), 20, 10).unwrap();
+        let home = hub.placement.shared_groups[&(10, pass)].0;
+        assert_eq!(
+            home,
+            hub.placement.shard_of(founder),
+            "the founder places the group"
+        );
+        let mut members = vec![founder];
+        let mut disagreements = 0usize;
+        for _ in 0..12 {
+            let q = hub.register_shared_alg(Toy::new(4, 2, 2), 20, 10).unwrap();
+            if hub.placement.shard_of(q) != home {
+                disagreements += 1;
+            }
+            assert_eq!(
+                hub.placement.home_shard(q),
+                home,
+                "group-aware placement must override the hash"
+            );
+            members.push(q);
+        }
+        assert!(disagreements > 0, "the hash must disagree for this to bite");
+        assert_eq!(hub.placement.shared_groups[&(10, pass)].1, 13);
+        // placement is invisible in the output: byte-identical to the
+        // sequential hub's registration-order delivery
+        let mut seq = Hub::new();
+        for _ in 0..13 {
+            seq.register_shared_alg(Toy::new(4, 2, 2), 20, 10).unwrap();
+        }
+        let data = timed_stream(60);
+        let mut expected = Vec::new();
+        for chunk in data.chunks(9) {
+            expected.extend(seq.publish_timed(chunk));
+            hub.publish_timed(chunk).unwrap();
+        }
+        expected.sort_unstable_by_key(|u| (u.query, u.result.slide));
+        assert_eq!(hub.drain().unwrap(), expected);
+        // stats aggregate the per-shard registries
+        let stats = hub.stats().unwrap();
+        assert_eq!(stats.queries, 13);
+        assert_eq!(stats.shared_queries, 13);
+        assert_eq!(stats.digest_groups, 1, "one group, wholly on one shard");
+        assert!(stats.digest_hits > 0);
+        // inspect and unregister route through the group's shard too
+        let probe = *members.last().unwrap();
+        assert!(hub.inspect(probe).unwrap().slides > 0);
+        for q in members {
+            assert!(hub.unregister(q).unwrap().into_shared().is_some());
+        }
+        assert!(
+            hub.placement.shared_groups.is_empty(),
+            "the last member out retires the group's placement"
+        );
+    }
+
+    /// An engine that kills its shard on the first slide.
+    struct Bomb(WindowSpec);
+    impl crate::checkpoint::CheckpointState for Bomb {}
+    impl SlidingTopK for Bomb {
+        fn spec(&self) -> WindowSpec {
+            self.0
+        }
+        fn slide(&mut self, _: &[Object]) -> &[Object] {
+            panic!("engine bug");
+        }
+        fn candidate_count(&self) -> usize {
+            0
+        }
+        fn memory_bytes(&self) -> usize {
+            0
+        }
+        fn stats(&self) -> OpStats {
+            OpStats::default()
+        }
+        fn name(&self) -> &str {
+            "bomb"
+        }
+    }
+
+    #[test]
+    fn dead_shard_does_not_strand_shared_group_bookkeeping() {
+        let mut hub = AsyncHub::new(1, 1);
+        // a Bomb on the shared plane: ⟨1, 1, 1⟩ is the reduction of
+        // W⟨10, 10⟩ with k = 1, and the first closed slide kills shard 0
+        let pass = Predicate::default();
+        let bomb = hub
+            .register_shared_boxed(Box::new(Bomb(WindowSpec::new(1, 1, 1).unwrap())), 10, 10)
+            .unwrap();
+        assert_eq!(hub.placement.shared_groups[&(10, pass)], (0, 1));
+        let _ = hub.publish_timed(&[TimedObject::new(0, 5, 1.0), TimedObject::new(1, 15, 2.0)]);
+        let _ = hub.flush();
+        // a registration into the group now targets the dead shard: a
+        // typed error that must NOT join the membership bookkeeping
+        assert_eq!(
+            hub.register_shared_alg(Toy::new(1, 1, 1), 10, 10)
+                .unwrap_err(),
+            SapError::ShardDown { shard: 0 }
+        );
+        assert_eq!(
+            hub.placement.shared_groups[&(10, pass)],
+            (0, 1),
+            "a failed registration never counts as a member"
+        );
+        assert_eq!(hub.len(), 1);
+        assert_eq!(hub.stats().unwrap_err(), SapError::ShardDown { shard: 0 });
+        // unregistering the lost query keeps reporting the dead shard and
+        // leaves membership intact (the query was lost, not removed)
+        assert_eq!(
+            hub.unregister(bomb).unwrap_err(),
+            SapError::ShardDown { shard: 0 }
+        );
+        assert_eq!(hub.placement.shared_groups[&(10, pass)], (0, 1));
+    }
+
+    #[test]
+    fn registration_survives_a_dead_shard() {
+        let mut hub = AsyncHub::new(2, 2);
+        hub.register_alg(Bomb(WindowSpec::new(1, 1, 1).unwrap()))
+            .unwrap();
+        let _ = hub.publish(&stream(1)); // kills the Bomb's shard
+        let _ = hub.flush(); // make sure the shard is dead
+                             // failed registrations burn their id, so retries derive fresh ids
+                             // and eventually hash onto the healthy shard
+        let q = (0..8)
+            .find_map(|_| hub.register_alg(Toy::new(2, 1, 1)).ok())
+            .expect("a healthy shard accepted a registration");
+        assert_eq!(hub.inspect(q).unwrap().slides, 0);
+    }
+
+    /// `HubStats.digest_groups`/`count_groups` summing is exact *only
+    /// because* groups are shard-local. If a routing regression ever
+    /// founded the same group on two shards, the stats merge must catch
+    /// it instead of silently double-counting.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "slide group split across workers")]
+    fn stats_merge_catches_a_slide_group_split_across_workers() {
+        // simulate the regression at the registry level: two shards
+        // each founded a slide group with the same slide_duration
+        // (routing gone hash-only instead of group-affine)
+        let mut a: ShardRegistry = Registry::with_shard(0);
+        let mut b: ShardRegistry = Registry::with_shard(1);
+        let consumer = || {
+            SharedTimed::from_engine(
+                Box::new(Toy::new(1, 1, 1)) as Box<dyn SlidingTopK + Send>,
+                10,
+                10,
+            )
+            .unwrap()
+        };
+        a.register_shared(
+            QueryId::from_raw(0),
+            consumer(),
+            Predicate::default(),
+            Some(0),
+        );
+        b.register_shared(
+            QueryId::from_raw(1),
+            consumer(),
+            Predicate::default(),
+            Some(1),
+        );
+        let mut seen = GroupKeys::default();
+        seen.absorb_disjoint(&a.group_keys(), 0);
+        seen.absorb_disjoint(&b.group_keys(), 1); // must panic here
+    }
+
+    /// Same detector, count plane: two shards holding the same
+    /// `(s, fill)` geometry class is a split count group.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "count group split across workers")]
+    fn stats_merge_catches_a_count_group_split_across_workers() {
+        let mut seen = GroupKeys::default();
+        let shard_keys = GroupKeys {
+            digest: Vec::new(),
+            count: vec![(4, 2, Predicate::default())],
+        };
+        seen.absorb_disjoint(&shard_keys, 0);
+        seen.absorb_disjoint(&shard_keys, 1); // must panic here
     }
 }

@@ -20,8 +20,9 @@
 //!   re-chunks arbitrary-size pushes into `s`-aligned slides, the
 //!   multi-query [`Hub`] fanning one stream out to many standing queries,
 //!   and typed [`TopKEvent`] result deltas;
-//! * the **sharded hub** ([`ShardedHub`]) — the same fan-out distributed
-//!   across worker threads, with backpressure on `publish`;
+//! * the **parallel hub** ([`AsyncHub`]) — the same fan-out distributed
+//!   across logical shards served by a worker pool, with backpressure on
+//!   `publish`;
 //! * the **shared digest plane** ([`digest`]) — per-slide top-`k_max`
 //!   digests computed once per slide group (queries with equal
 //!   `slide_duration`) and served to every overlapping time-based query,
@@ -35,36 +36,35 @@
 //!
 //! ## Scaling
 //!
-//! Three hubs serve many standing queries over one stream:
+//! Two hubs serve many standing queries over one stream:
 //!
 //! * [`Hub`] is synchronous and single-threaded: `publish` walks every
 //!   session in the caller's thread and returns the completed slides
 //!   immediately. Simple, deterministic, and the reference semantics.
-//! * [`ShardedHub`] partitions queries across N **shards** (hash of
-//!   [`QueryId`], fixed for the query's lifetime), each shard owned by
-//!   one worker thread. A session is only ever touched by its owning
-//!   thread — shard ownership replaces locking. `publish` enqueues one
-//!   [`Arc`](std::sync::Arc) of the batch per shard on a **bounded**
-//!   queue and blocks while any queue is full, so a publisher can never
-//!   run unboundedly ahead of the slowest shard (backpressure, not
-//!   buffering).
-//! * [`AsyncHub`] keeps the sharded hub's semantics but multiplexes many
-//!   *logical* shards onto a few reactor worker threads, so the shard
-//!   count is no longer capped by the core count. `publish` is a
-//!   single-lock broadcast that parks on backpressure (or refuses via
-//!   [`AsyncHub::poll_ready`]/[`AsyncHub::try_publish`]), and the ready
+//! * [`AsyncHub`] partitions queries across N logical **shards** (hash of
+//!   [`QueryId`]) served by a pool of worker threads —
+//!   `AsyncHub::new(n, n)` gives each shard a worker of its own, and
+//!   `AsyncHub::new(many, few)` multiplexes thousands of shards onto a
+//!   few threads. A shard is only ever touched by one worker at a time —
+//!   shard ownership replaces locking. `publish` is a single-lock
+//!   broadcast of one [`Arc`](std::sync::Arc) of the batch onto
+//!   **bounded** per-shard queues and parks while any queue is full, so a
+//!   publisher can never run unboundedly ahead of the slowest shard
+//!   (backpressure, not buffering); [`AsyncHub::poll_ready`] and
+//!   [`AsyncHub::try_publish`] refuse instead of parking, and the ready
 //!   pick order is a pluggable, seedable [`Scheduler`] — see [`exec`].
 //!
 //! Parallel execution stays observably equivalent to the sequential hub
 //! through the **determinism barrier**: results accumulate shard-side,
-//! and [`ShardedHub::drain`] waits for every shard to catch up, then
+//! and [`AsyncHub::drain`] waits for every shard to catch up, then
 //! returns the accumulated updates sorted by `(QueryId, slide)` — an
-//! order independent of shard count and thread timing. Per-query outputs
-//! are byte-identical to [`Hub`]'s because each session sees exactly the
-//! same object sequence either way; `tests/hub_sharded_equivalence.rs`
-//! property-checks this for SAP and all four baselines, including
-//! mid-stream registration and unregistration. SAP's per-slide dirty
-//! flag keeps quiet queries at O(1) per slide, which is what makes
+//! order independent of shard count, worker count, and thread timing.
+//! Per-query outputs are byte-identical to [`Hub`]'s because each session
+//! sees exactly the same object sequence either way;
+//! `tests/async_equivalence.rs` property-checks this for SAP and all four
+//! baselines, including mid-stream registration and unregistration,
+//! under seeded adversarial schedules. SAP's per-slide dirty flag keeps
+//! quiet queries at O(1) per slide, which is what makes
 //! hash-partitioning (no work stealing) balance well even under skewed
 //! query mixes.
 //!
@@ -92,6 +92,7 @@
 //! ```
 
 pub mod checkpoint;
+mod control;
 pub mod digest;
 pub mod driver;
 pub mod events;
@@ -103,7 +104,6 @@ pub mod predicate;
 pub mod query;
 mod registry;
 pub mod session;
-pub mod shard;
 #[cfg(test)]
 mod test_support;
 pub mod window;
@@ -117,7 +117,10 @@ pub use driver::{checksum_fold, run, run_collecting, RunSummary, CHECKSUM_SEED};
 pub use events::{
     diff_snapshots, diff_snapshots_into, DiffScratch, EventList, SlideResult, Snapshot, TopKEvent,
 };
-pub use exec::{AsyncHub, FifoScheduler, Scheduler, SeededScheduler, COMMANDS_PER_WAKEUP};
+pub use exec::{
+    AsyncHub, FifoScheduler, QueryState, Scheduler, SeededScheduler, ShardSession,
+    COMMANDS_PER_WAKEUP, DEFAULT_QUEUE_CAPACITY, PUBLISH_ONE_COALESCE,
+};
 pub use generators::{ArrivalProcess, Dataset, Workload};
 pub use metrics::OpStats;
 pub use object::{Object, ScoreKey, TimedObject};
@@ -127,8 +130,5 @@ pub use registry::HubStats;
 pub use session::{
     AnySession, GroupedSession, Hub, HubSession, QueryId, QueryUpdate, Session, SharedSession,
     SlideScratch, TimedSession,
-};
-pub use shard::{
-    QueryState, ShardSession, ShardedHub, DEFAULT_QUEUE_CAPACITY, PUBLISH_ONE_COALESCE,
 };
 pub use window::{Ingest, SlidingTopK, SpecError, TimedIngest, TimedTopK, WindowSpec};

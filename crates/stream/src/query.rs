@@ -63,18 +63,20 @@ pub enum SapError {
     MixedWindowKinds,
     /// A time-based query was handed to an entry point that requires a
     /// count-based one (e.g. `build()`/`session()`); use the `timed`
-    /// counterparts, or `Hub`/`ShardedHub` registration, which accept
+    /// counterparts, or `Hub`/`AsyncHub` registration, which accept
     /// both.
     NotCountBased,
     /// A count-based query was handed to an entry point that requires a
     /// time-based one (e.g. `timed_session()`).
     NotTimeBased,
-    /// A sharded hub worker thread is gone — a registered engine panicked,
-    /// killing the shard. The queries owned by that shard are lost; the
-    /// other shards are unaffected but the hub as a whole can no longer
-    /// guarantee full fan-out, so the recovery story is to drop the hub,
-    /// build a fresh one, and re-register the standing queries (engines on
-    /// surviving shards can be rescued first via `unregister`).
+    /// An [`AsyncHub`](crate::exec::AsyncHub) shard is dead — a registered
+    /// engine panicked, killing the shard (its worker thread survives and
+    /// keeps serving the other shards). The queries owned by that shard
+    /// are lost; the other shards are unaffected but the hub as a whole
+    /// can no longer guarantee full fan-out, so the recovery story is to
+    /// restore the last checkpoint into a fresh hub, or build a fresh one
+    /// and re-register the standing queries (engines on surviving shards
+    /// can be rescued first via `unregister`).
     ShardDown {
         /// Index of the dead shard.
         shard: usize,

@@ -1,6 +1,6 @@
 //! The session registry: one copy of the fan-out, digest-group, and
 //! statistics bookkeeping shared by the sequential [`Hub`] and every
-//! [`ShardedHub`] worker.
+//! [`AsyncHub`] shard.
 //!
 //! Before the shared digest plane, the hub and the shard workers each
 //! carried their own `Vec<(QueryId, AnySession)>` dispatch loop; adding
@@ -85,7 +85,7 @@
 //! pre-class encoding.
 //!
 //! [`Hub`]: crate::session::Hub
-//! [`ShardedHub`]: crate::shard::ShardedHub
+//! [`AsyncHub`]: crate::exec::AsyncHub
 
 use std::collections::{HashMap, VecDeque};
 
@@ -103,7 +103,7 @@ use crate::window::{Ingest, SlidingTopK, TimedIngest, TimedTopK, WindowSpec};
 
 /// A point-in-time summary of a hub's registered queries and how much
 /// per-slide work the shared digest plane is saving — what
-/// `Hub::stats()`/`ShardedHub::stats()` report, so benches and examples
+/// `Hub::stats()`/`AsyncHub::stats()` report, so benches and examples
 /// can measure sharing instead of guessing at it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct HubStats {
@@ -119,7 +119,7 @@ pub struct HubStats {
     /// member).
     ///
     /// **Invariant**: a slide group never spans shards — every member of
-    /// a group lives on one shard, enforced by `ShardedHub`'s group-
+    /// a group lives on one shard, enforced by `AsyncHub`'s group-
     /// affine routing (`home_shard`) and debug-asserted at registration
     /// inside `Registry`. Summing this field across shards (see
     /// [`merge`](HubStats::merge)) is exact *only* because of that
@@ -179,7 +179,7 @@ pub struct HubStats {
     /// [`AsyncHub`](crate::exec::AsyncHub) backpressure. Summed across
     /// shards by [`merge`](HubStats::merge); the per-shard split lives in
     /// `AsyncHub::shard_loads`, so a balancer can tell *which* shard is
-    /// slow. Always 0 on the sequential and thread-per-shard hubs.
+    /// slow. Always 0 on the sequential hub.
     pub publisher_parks: u64,
     /// High-water mark of any one shard's command-queue depth —
     /// **max**-merged, not summed, so the hub-wide value is the worst
@@ -246,7 +246,7 @@ impl HubStats {
         }
     }
 
-    /// Field-wise accumulation — how `ShardedHub::stats()` folds its
+    /// Field-wise accumulation — how `AsyncHub::stats()` folds its
     /// per-shard partials into one hub-wide view. Straight sums are
     /// exact for every field because each query (and — by the
     /// shard-locality invariant documented on
@@ -581,7 +581,7 @@ pub(crate) struct Registry<C: SlidingTopK, T: TimedTopK> {
     /// a watermark jump closing thousands of slides — cannot inflate
     /// every later publish's reservation for the hub's lifetime.
     update_hint: usize,
-    /// Which `ShardedHub` worker owns this registry (`None` for the
+    /// Which `AsyncHub` shard owns this registry (`None` for the
     /// sequential hub) — consulted only by the debug assertion in
     /// [`register_shared`](Registry::register_shared) that a slide
     /// group's members all land on the group's home shard.
@@ -625,7 +625,7 @@ pub(crate) type EjectedCountGroup<C, T> = (CountGroupState, Vec<(QueryId, AnySes
 /// A decoded `tags::REGISTRY` section, still loose: sessions with their
 /// replayed engines, slide-group producers, and the sharing counters —
 /// everything needed to rebuild a [`Registry`] (or to scatter across
-/// `ShardedHub` workers) once [`merge`](RegistryParts::merge) has
+/// `AsyncHub` shards) once [`merge`](RegistryParts::merge) has
 /// validated the cross-section invariants.
 pub(crate) struct RegistryParts<C: SlidingTopK, T: TimedTopK> {
     pub(crate) sessions: Vec<(QueryId, AnySession<C, T>)>,
@@ -2173,7 +2173,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     }
 
     /// Reassembles one registry from decoded parts — possibly several,
-    /// when a sharded checkpoint is restored into a sequential hub.
+    /// when a parallel hub's checkpoint is restored into a sequential hub.
     /// Validation happens in [`RegistryParts::merge`]; group member
     /// counts are recomputed from the shared sessions themselves.
     pub(crate) fn from_parts(parts: Vec<RegistryParts<C, T>>) -> Result<Self, SapError> {
@@ -2687,8 +2687,8 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     }
 
     /// Ejects everything — sessions, groups, counters — leaving the
-    /// registry empty. The `ShardedHub::resize` path drains each worker
-    /// through this before re-scattering onto the new worker set.
+    /// registry empty. The `AsyncHub::resize` path drains each shard
+    /// through this before re-scattering onto the new shard set.
     pub(crate) fn eject_all(&mut self) -> RegistryParts<C, T> {
         // dissolve every result class back into the session store first
         // (same protocol as the single-group ejects); the class-hit

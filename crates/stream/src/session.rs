@@ -1182,10 +1182,10 @@ impl<C: SlidingTopK> GroupedSession<C> {
 }
 
 /// A session of any window model — what the hubs store and what
-/// [`Hub::unregister`]/`ShardedHub::unregister` hand back. The `C`/`T`
+/// [`Hub::unregister`]/`AsyncHub::unregister` hand back. The `C`/`T`
 /// parameters are the count-based and time-based engine types (boxed
 /// trait objects in the hubs; see [`HubSession`] and
-/// [`ShardSession`](crate::shard::ShardSession)); shared-digest and
+/// [`ShardSession`](crate::exec::ShardSession)); shared-digest and
 /// count-group sessions reuse `C`, their reduction engines being
 /// count-based.
 // `Shared` outweighs the other variants (its consumer embeds the
@@ -1309,15 +1309,15 @@ impl<C: SlidingTopK, T: TimedTopK> AnySession<C, T> {
 /// [`unregister`](Hub::unregister).
 pub type HubSession = AnySession<Box<dyn SlidingTopK>, Box<dyn TimedTopK>>;
 
-/// Handle identifying a query registered with a [`Hub`] or a
-/// [`ShardedHub`](crate::shard::ShardedHub). Ids are handed out
+/// Handle identifying a query registered with a [`Hub`] or an
+/// [`AsyncHub`](crate::exec::AsyncHub). Ids are handed out
 /// monotonically, so ascending `QueryId` order *is* registration order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QueryId(u64);
 
 impl QueryId {
     /// Builds a handle from its raw counter value (hub-internal; the
-    /// sharded hub allocates ids with the same scheme as [`Hub`]).
+    /// parallel hub allocates ids with the same scheme as [`Hub`]).
     pub(crate) fn from_raw(raw: u64) -> Self {
         QueryId(raw)
     }
@@ -1781,7 +1781,7 @@ impl Hub {
 
     /// Rebuilds a hub from a [`Checkpoint`], constructing each session's
     /// engine through `factory` and replaying the retained state into it.
-    /// Accepts checkpoints from either hub flavor: a sharded checkpoint's
+    /// Accepts checkpoints from either hub: a parallel hub's checkpoint's
     /// per-shard registries are merged back into one (sessions in
     /// registration order, groups unioned, counters summed).
     ///

@@ -1,6 +1,6 @@
 //! Shared reference engines for this crate's unit tests: minimal,
 //! obviously-correct implementations of both algorithm traits, used as
-//! oracles by the session, hub, and sharded-hub test modules so every
+//! oracles by the session, hub, and async-hub test modules so every
 //! equivalence test pins the *same* semantics.
 
 use crate::checkpoint::{CheckpointError, CheckpointState, Decoder, Encoder};

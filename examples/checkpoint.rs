@@ -1,11 +1,12 @@
-//! Durability and elastic operation: a `ShardedHub` serving a mixed fleet
-//! of standing queries takes periodic checkpoints while one tenant — a
-//! deliberately faulty "bomb" engine — eventually panics and takes its
-//! whole worker thread down. The hub reports the dead shard as a typed
-//! `SapError::ShardDown`; we restore the last checkpoint onto a *fresh*
-//! hub (bigger, while we're at it: 4 shards → 6), patch the faulty engine
-//! at restore time through a custom `EngineFactory`, replay the bursts
-//! published since that checkpoint, and keep serving. A healthy
+//! Durability and elastic operation: an `AsyncHub` (one worker per
+//! shard) serving a mixed fleet of standing queries takes periodic
+//! checkpoints while one tenant — a deliberately faulty "bomb" engine —
+//! eventually panics and takes its whole shard down. The hub reports the
+//! dead shard as a typed `SapError::ShardDown`; we restore the last
+//! checkpoint onto a *fresh* hub (bigger, while we're at it: 4 shards →
+//! 6), patch the faulty engine at restore time through a custom
+//! `EngineFactory`, replay the bursts published since that checkpoint,
+//! and keep serving. A healthy
 //! sequential `Hub` runs the same queries uninterrupted; at the end the
 //! recovered run's results are byte-identical to it, query for query.
 //!
@@ -25,7 +26,7 @@ const FUSE: usize = 2_650; // the bomb detonates mid-interval
 
 /// A tenant engine with a manufacturing defect: it answers correctly
 /// (delegating to a real SAP engine) until it has seen [`FUSE`] objects,
-/// then panics — killing the worker thread it happens to live on.
+/// then panics — killing the shard it happens to live on.
 struct Bomb {
     inner: Box<dyn SlidingTopK + Send>,
     seen: usize,
@@ -136,7 +137,7 @@ fn main() {
     let queries = queries();
 
     // the fleet under test: 10 healthy tenants plus the bomb
-    let mut hub = ShardedHub::new(SHARDS);
+    let mut hub = AsyncHub::new(SHARDS, SHARDS);
     for q in &queries {
         hub.register(q).expect("valid query");
     }
@@ -183,9 +184,9 @@ fn main() {
                     burst + 1,
                     SHARDS + 2
                 );
-                hub = ShardedHub::restore(ckpt, &RecoveryFactory, SHARDS + 2)
+                hub = AsyncHub::restore(ckpt, &RecoveryFactory, SHARDS + 2, SHARDS + 2)
                     .expect("own checkpoint restores");
-                // rebalance the recovered tenant onto a chosen worker
+                // rebalance the recovered tenant onto a chosen shard
                 // mid-stream; results are placement-blind, so this
                 // changes nothing downstream
                 hub.move_query(bomb_id, 0).expect("live migration");

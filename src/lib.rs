@@ -90,8 +90,8 @@ pub mod prelude;
 
 use sap_core::TimeBased;
 use sap_stream::{
-    AlgorithmKind, AsyncHub, EngineFactory, Hub, Query, QueryId, SapError, Session, ShardedHub,
-    SlidingTopK, TimedSession, TimedSpec, TimedTopK, WindowSpec,
+    AlgorithmKind, AsyncHub, EngineFactory, Hub, Query, QueryId, SapError, Session, SlidingTopK,
+    TimedSession, TimedSpec, TimedTopK, WindowSpec,
 };
 
 /// Builds the boxed engine a count-based [`Query`] describes, dispatching
@@ -105,8 +105,8 @@ pub fn build(query: &Query) -> Result<Box<dyn SlidingTopK>, SapError> {
 }
 
 /// Like [`build`], but the box is [`Send`] so the engine can be
-/// registered with a [`ShardedHub`], whose workers
-/// own their queries on dedicated threads. Every algorithm in this
+/// registered with an [`AsyncHub`], whose shards
+/// move between worker threads. Every algorithm in this
 /// workspace is `Send`; the separate entry point only exists because
 /// `dyn SlidingTopK + Send` and `dyn SlidingTopK` are distinct types.
 pub fn build_send(query: &Query) -> Result<Box<dyn SlidingTopK + Send>, SapError> {
@@ -141,7 +141,7 @@ pub fn build_timed(query: &Query) -> Result<Box<dyn TimedTopK + Send>, SapError>
 /// ships from the name a checkpoint recorded
 /// ([`SlidingTopK::name`]), so
 /// [`Hub::restore`](stream::Hub::restore) and
-/// [`ShardedHub::restore`](stream::ShardedHub::restore) work
+/// [`AsyncHub::restore`](stream::AsyncHub::restore) work
 /// out of the box for every SAP variant and every baseline.
 ///
 /// Restored engines use each algorithm's *default* construction for the
@@ -248,7 +248,7 @@ impl QueryExt for Query {
     }
 }
 
-/// Query registration on [`Hub`] and [`ShardedHub`], available via
+/// Query registration on [`Hub`] and [`AsyncHub`], available via
 /// [`prelude`].
 pub trait HubExt {
     /// Validates and constructs a query — **of either window model** —
@@ -324,41 +324,6 @@ impl HubExt for Hub {
             .map_err(SapError::Spec)?;
         let engine: Box<dyn SlidingTopK> = build_engine(reduced, query)?;
         self.register_grouped_filtered_boxed(engine, spec.n, spec.s, query.predicate())
-    }
-}
-
-impl HubExt for ShardedHub {
-    fn register(&mut self, query: &Query) -> Result<QueryId, SapError> {
-        reject_isolated_predicate(query)?;
-        if query.is_time_based() {
-            self.register_timed_boxed(build_timed(query)?)
-        } else {
-            self.register_boxed(build_send(query)?)
-        }
-    }
-
-    fn register_shared(&mut self, query: &Query) -> Result<QueryId, SapError> {
-        let spec = query.validate_timed()?;
-        let engine = build_engine(spec.reduced().map_err(SapError::Spec)?, query)?;
-        self.register_shared_filtered_boxed(
-            engine,
-            spec.window_duration,
-            spec.slide_duration,
-            query.predicate(),
-        )
-    }
-
-    fn register_grouped(&mut self, query: &Query) -> Result<QueryId, SapError> {
-        let spec = query.validate()?;
-        let reduced = TimedSpec::new(spec.n as u64, spec.s as u64, spec.k)
-            .and_then(|t| t.reduced())
-            .map_err(SapError::Spec)?;
-        self.register_grouped_filtered_boxed(
-            build_engine(reduced, query)?,
-            spec.n,
-            spec.s,
-            query.predicate(),
-        )
     }
 }
 
@@ -475,19 +440,15 @@ mod tests {
         hub.register_grouped(&counted).unwrap();
         assert_eq!(hub.len(), 2);
 
-        let mut sharded = ShardedHub::new(2);
-        assert!(matches!(
-            sharded.register(&counted),
-            Err(SapError::PredicateUnsupported)
-        ));
-        sharded.register_shared(&timed).unwrap();
-
-        let mut reactor = AsyncHub::new(2, 1);
-        assert!(matches!(
-            reactor.register(&timed),
-            Err(SapError::PredicateUnsupported)
-        ));
-        reactor.register_grouped(&counted).unwrap();
+        let mut parallel = AsyncHub::new(2, 1);
+        for q in [&counted, &timed] {
+            assert!(matches!(
+                parallel.register(q),
+                Err(SapError::PredicateUnsupported)
+            ));
+        }
+        parallel.register_shared(&timed).unwrap();
+        parallel.register_grouped(&counted).unwrap();
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Durability-plane equivalence: a run that is checkpointed at an
-//! arbitrary point and restored — through either hub flavor, at any
-//! shard count — must emit **checksum-byte-identical** results to the
+//! arbitrary point and restored — through either hub, at any shard
+//! count — must emit **checksum-byte-identical** results to the
 //! uninterrupted run, for SAP and all four baselines, across count-based,
 //! time-based, and shared-digest sessions. The codec must reject foreign
 //! bytes (truncated, bit-flipped, version-bumped, payload-corrupted) with
@@ -114,12 +114,13 @@ proptest! {
         prop_assert_eq!(sums, expect, "n={} k={} s={} cut={}", n, k, s, cut);
     }
 
-    /// Sharded hub: checkpoint mid-stream, restore at a *different* shard
-    /// count — and also into a sequential hub (the formats are
-    /// interchangeable) — and finish the stream; every variant folds to
-    /// the uninterrupted reference.
+    /// One worker per shard (`AsyncHub::new(n, n)`, FIFO scheduling):
+    /// checkpoint mid-stream, restore at a *different* shard count — and
+    /// also into a sequential hub (the formats are interchangeable) — and
+    /// finish the stream; every variant folds to the uninterrupted
+    /// reference.
     #[test]
-    fn sharded_checkpoint_restores_at_any_shard_count(
+    fn one_worker_per_shard_checkpoint_restores_at_any_shard_count(
         scores in vec(0u8..16, 1..160),
         (n, k, s) in geometry(),
         chunk in 1usize..16,
@@ -134,7 +135,7 @@ proptest! {
         let chunks: Vec<&[Object]> = data.chunks(chunk).collect();
         let cut = cut_seed % (chunks.len() + 1);
 
-        let mut hub = ShardedHub::new(before);
+        let mut hub = AsyncHub::new(before, before);
         for q in &queries {
             hub.register(q).expect("valid query");
         }
@@ -145,15 +146,15 @@ proptest! {
         let (ckpt, drained) = hub.checkpoint().expect("healthy shards");
         fold_all(&mut sums, drained);
 
-        // resume sharded at the new count
-        let mut resumed =
-            ShardedHub::restore(&ckpt, &DefaultEngineFactory, after).expect("restores");
-        let mut sharded_sums = sums.clone();
+        // resume at the new count
+        let mut resumed = AsyncHub::restore(&ckpt, &DefaultEngineFactory, after, after)
+            .expect("restores");
+        let mut async_sums = sums.clone();
         for c in &chunks[cut..] {
             resumed.publish(c).expect("healthy shards");
         }
-        fold_all(&mut sharded_sums, resumed.drain().expect("healthy shards"));
-        prop_assert_eq!(&sharded_sums, &expect, "sharded {}→{} cut={}", before, after, cut);
+        fold_all(&mut async_sums, resumed.drain().expect("healthy shards"));
+        prop_assert_eq!(&async_sums, &expect, "{}x{}→{}x{} cut={}", before, before, after, after, cut);
 
         // the same bytes also resume on a sequential hub
         let mut seq = Hub::restore(&ckpt, &DefaultEngineFactory).expect("restores");
@@ -161,15 +162,14 @@ proptest! {
         for c in &chunks[cut..] {
             fold_all(&mut seq_sums, seq.publish(c));
         }
-        prop_assert_eq!(&seq_sums, &expect, "sharded {}→sequential cut={}", before, cut);
+        prop_assert_eq!(&seq_sums, &expect, "{}x{}→sequential cut={}", before, before, cut);
     }
 
     /// Async hub: checkpoint mid-stream under a seeded adversarial
     /// schedule, restore onto a fresh `AsyncHub` at a *different*
-    /// (shards, workers) shape — and also onto a sequential hub and from
-    /// a sharded checkpoint (all three formats are interchangeable) —
-    /// and finish the stream; every variant folds to the uninterrupted
-    /// reference.
+    /// (shards, workers) shape — and also onto a sequential hub (the
+    /// formats are interchangeable) — and finish the stream; every
+    /// variant folds to the uninterrupted reference.
     #[test]
     fn async_checkpoint_restores_across_hub_flavors(
         scores in vec(0u8..16, 1..160),
@@ -220,27 +220,6 @@ proptest! {
             fold_all(&mut seq_sums, seq.publish(c));
         }
         prop_assert_eq!(&seq_sums, &expect, "async→sequential cut={}", cut);
-
-        // and a *sharded* checkpoint of the same prefix resumes on an
-        // AsyncHub (flavor interchange goes both ways)
-        let mut sharded = ShardedHub::new(3);
-        for q in &queries {
-            sharded.register(q).expect("valid query");
-        }
-        let mut cross_sums = BTreeMap::new();
-        for c in &chunks[..cut] {
-            sharded.publish(c).expect("healthy shards");
-        }
-        let (sharded_ckpt, drained) = sharded.checkpoint().expect("healthy shards");
-        fold_all(&mut cross_sums, drained);
-        let mut crossed =
-            AsyncHub::restore(&sharded_ckpt, &DefaultEngineFactory, shards_after, workers_after)
-                .expect("sharded checkpoint restores on the async hub");
-        for c in &chunks[cut..] {
-            crossed.publish(c).expect("healthy shards");
-        }
-        fold_all(&mut cross_sums, crossed.drain().expect("healthy shards"));
-        prop_assert_eq!(&cross_sums, &expect, "sharded→async cut={}", cut);
     }
 
     /// Elastic churn: `move_query` and `resize` fired between arbitrary
@@ -256,7 +235,7 @@ proptest! {
         let data = stream(&scores);
         let expect = sequential_reference(&queries, &data, 7);
 
-        let mut hub = ShardedHub::new(3);
+        let mut hub = AsyncHub::new(3, 3);
         let mut ids = Vec::new();
         for q in &queries {
             ids.push(hub.register(q).expect("valid query"));
@@ -318,7 +297,7 @@ proptest! {
     }
 }
 
-/// Time-based and shared-digest sessions: checkpoint a sharded hub
+/// Time-based and shared-digest sessions: checkpoint a parallel hub
 /// mid-stream (engine blobs and digest groups in flight), restore at
 /// another shard count, finish — identical to the uninterrupted
 /// sequential run. Deterministic sweep over cuts so slide-boundary and
@@ -360,7 +339,7 @@ fn timed_and_shared_sessions_survive_checkpoint() {
     fold_all(&mut expect, reference.advance_time(horizon));
 
     for (cut, shards_after) in [(0, 2), (3, 8), (7, 1), (11, 2), (16, 2)] {
-        let mut hub = ShardedHub::new(2);
+        let mut hub = AsyncHub::new(2, 2);
         register(&mut |q, shared| {
             if shared {
                 hub.register_shared(q).expect("valid query")
@@ -375,7 +354,7 @@ fn timed_and_shared_sessions_survive_checkpoint() {
         }
         let (ckpt, drained) = hub.checkpoint().expect("healthy shards");
         fold_all(&mut sums, drained);
-        let mut hub = ShardedHub::restore(&ckpt, &DefaultEngineFactory, shards_after)
+        let mut hub = AsyncHub::restore(&ckpt, &DefaultEngineFactory, shards_after, shards_after)
             .expect("timed checkpoint restores");
         for c in &chunks[cut..] {
             hub.publish_timed(c).expect("healthy shards");
@@ -391,7 +370,7 @@ fn timed_and_shared_sessions_survive_checkpoint() {
 #[test]
 fn shared_groups_survive_move_and_resize() {
     let mut reference = Hub::new();
-    let mut hub = ShardedHub::new(3);
+    let mut hub = AsyncHub::new(3, 3);
     let mut ids = Vec::new();
     for i in 0..8usize {
         let sd = [100u64, 200][i % 2];
@@ -423,6 +402,123 @@ fn shared_groups_survive_move_and_resize() {
     hub.advance_time(horizon).expect("healthy shards");
     fold_all(&mut sums, hub.drain().expect("healthy shards"));
     assert_eq!(sums, expect);
+}
+
+/// The continuation of the fixture fleet's stream: objects `range`
+/// with the timestamps and scores the fixture's prefix was generated by.
+fn fixture_stream(range: std::ops::Range<u64>) -> Vec<TimedObject> {
+    range
+        .map(|i| TimedObject::new(i, i * 3 + i % 5, ((i * 37) % 101) as f64))
+        .collect()
+}
+
+/// `tests/data/sharded3_mixed_fleet.ckpt`, validated.
+fn fixture_checkpoint() -> Checkpoint {
+    Checkpoint::from_bytes(include_bytes!("data/sharded3_mixed_fleet.ckpt"))
+        .expect("fixture validates")
+}
+
+/// The fixture's continuation, `fixture_stream(500..900)`, and the
+/// horizon past its last object that closes every open slide.
+fn fixture_continuation() -> (Vec<TimedObject>, u64) {
+    let continuation = fixture_stream(500..900);
+    let horizon = continuation.last().unwrap().timestamp + 1_000;
+    (continuation, horizon)
+}
+
+/// The continuation's updates, published in chunks of 41, on a
+/// sequential `Hub` restored from `ckpt`, in drain order.
+fn hub_continuation(ckpt: &Checkpoint) -> Vec<QueryUpdate> {
+    let (continuation, horizon) = fixture_continuation();
+    let mut hub = Hub::restore(ckpt, &DefaultEngineFactory).expect("image restores");
+    assert_eq!(hub.len(), 11);
+    let mut updates = Vec::new();
+    for c in continuation.chunks(41) {
+        updates.extend(hub.publish_timed(c));
+    }
+    updates.extend(hub.advance_time(horizon));
+    updates.sort_by_key(|u| (u.query, u.result.slide));
+    updates
+}
+
+/// The same continuation's drained updates on an `AsyncHub` of
+/// `shards` × `workers` restored from `ckpt`.
+fn async_continuation(ckpt: &Checkpoint, shards: usize, workers: usize) -> Vec<QueryUpdate> {
+    let (continuation, horizon) = fixture_continuation();
+    let mut hub =
+        AsyncHub::restore(ckpt, &DefaultEngineFactory, shards, workers).expect("image restores");
+    assert_eq!(hub.len(), 11);
+    for c in continuation.chunks(41) {
+        hub.publish_timed(c).expect("healthy shards");
+    }
+    hub.advance_time(horizon).expect("healthy shards");
+    hub.drain().expect("healthy shards")
+}
+
+/// Checkpoint images carry no hub flavor, so images written by the
+/// retired thread-per-shard hub must keep restoring.
+/// `tests/data/sharded3_mixed_fleet.ckpt` is such an image, taken at 3
+/// shards after `fixture_stream(0..500)` in chunks of 37 over a mixed
+/// fleet of 11 queries: 3 count (SAP, MinTopK, k-skyband), 2 isolated
+/// timed (SAP, naive), 3 shared timed on one slide duration (one
+/// filtered `score >= 30`), and 3 grouped count on one slide length (one
+/// filtered `score <= 80`). Restored on `AsyncHub` at two shard counts
+/// and on `Hub`, the same continuation must drain identically — and
+/// land on the per-query checksums the uninterrupted thread-per-shard
+/// run recorded.
+#[test]
+fn sharded_hub_images_keep_restoring() {
+    let ckpt = fixture_checkpoint();
+    let expected = hub_continuation(&ckpt);
+    assert_eq!(expected.len(), 469);
+    for (shards, workers) in [(1usize, 1usize), (4, 2)] {
+        assert_eq!(
+            async_continuation(&ckpt, shards, workers),
+            expected,
+            "AsyncHub({shards}x{workers}) diverged from Hub"
+        );
+    }
+
+    let mut sums = BTreeMap::new();
+    fold_all(&mut sums, expected);
+    let recorded: [u64; 11] = [
+        0xfc84c04eba7ef5bc,
+        0xd58c856a97d10a1c,
+        0xde93a334fc639d6e,
+        0xd09b833d213d4695,
+        0xd182e2c40975ba1c,
+        0x0685b607af97a0e9,
+        0x9d29c008dcb4c64a,
+        0xd3669155e3ff29f2,
+        0x8ac82d43fe6dad43,
+        0x63146c3d0ab4a459,
+        0xc92e122f7de0a10f,
+    ];
+    assert_eq!(
+        sums.into_values().collect::<Vec<_>>(),
+        recorded,
+        "the restored fleet left the uninterrupted run's event streams"
+    );
+}
+
+/// Images migrate forward, not only restore: the retired hub's image,
+/// restored on `AsyncHub` at its own shard count and checkpointed
+/// straight away, yields a new image that resumes the fixture's
+/// continuation exactly as the original does — on `Hub` and on
+/// `AsyncHub` at another shard count.
+#[test]
+fn sharded_hub_images_migrate_through_async_checkpoints() {
+    let ckpt = fixture_checkpoint();
+    let expected = hub_continuation(&ckpt);
+    let mut hub = AsyncHub::restore(&ckpt, &DefaultEngineFactory, 3, 3).expect("fixture restores");
+    let (rewritten, drained) = hub.checkpoint().expect("healthy shards");
+    assert!(
+        drained.is_empty(),
+        "a freshly restored hub has nothing to drain"
+    );
+    let rewritten = Checkpoint::from_bytes(rewritten.as_bytes()).expect("own bytes validate");
+    assert_eq!(hub_continuation(&rewritten), expected);
+    assert_eq!(async_continuation(&rewritten, 2, 2), expected);
 }
 
 /// Payload corruption behind a *valid* frame (magic, version, and

@@ -1,5 +1,5 @@
 //! Checksum helpers shared by the hub-equivalence integration tests, so
-//! both suites (`hub_sharded_equivalence`, `timed_equivalence`) fold the
+//! suites (`async_equivalence`, `timed_equivalence`, ...) fold the
 //! exact same encoding of `SlideResult` — one definition, one oracle.
 
 use std::collections::BTreeMap;

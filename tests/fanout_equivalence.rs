@@ -5,11 +5,10 @@
 //! for SAP and all four baselines, at arbitrary registration offsets
 //! (registrations land mid-slide, founding new geometry classes, and on
 //! slide boundaries, joining live ones), through mid-stream
-//! register/unregister churn, and on the `ShardedHub` at 1, 2, and 8
+//! register/unregister churn, and on the `AsyncHub` at 1, 2, and 8
 //! shards (count groups are shard-local, like slide groups). A
 //! checkpoint cut through a **warm** count group (open slide partially
-//! filled) must restore into either hub flavor and continue
-//! byte-identically.
+//! filled) must restore into either hub and continue byte-identically.
 
 use std::collections::BTreeMap;
 
@@ -125,52 +124,17 @@ impl Schedule<'_> {
         (sums, dropped, hub.stats())
     }
 
-    /// Sharded hub, all queries on the shared count plane.
-    fn run_sharded(
+    /// A parallel hub, all queries on the shared count plane (classed
+    /// serving inside worker bursts unless `class_sharing` is off).
+    fn run_async(
         &self,
-        shards: usize,
+        mut hub: AsyncHub,
         class_sharing: bool,
     ) -> (BTreeMap<QueryId, u64>, Option<QueryId>, HubStats) {
-        let mut hub = ShardedHub::new(shards);
         let mut sums = BTreeMap::new();
         if !class_sharing {
             hub.set_result_class_sharing(false).unwrap();
         }
-        for q in &self.queries[..self.early] {
-            hub.register_grouped(q).unwrap();
-        }
-        let mid = self.data.len() / 2;
-        for chunk in self.chunks(0, mid) {
-            hub.publish(chunk).unwrap();
-            fold_all(&mut sums, hub.drain().unwrap());
-        }
-        let ids: Vec<QueryId> = hub.query_ids().collect();
-        let dropped = (ids.len() > 1).then(|| ids[0]);
-        if let Some(id) = dropped {
-            hub.unregister(id).expect("registered in phase one");
-        }
-        for q in &self.queries[self.early..] {
-            hub.register_grouped(q).unwrap();
-        }
-        for chunk in self.chunks(mid, self.data.len()) {
-            hub.publish(chunk).unwrap();
-            fold_all(&mut sums, hub.drain().unwrap());
-        }
-        let stats = hub.stats().unwrap();
-        (sums, dropped, stats)
-    }
-
-    /// Async hub under a seeded adversarial schedule, all queries on the
-    /// shared count plane (classed serving inside worker bursts).
-    fn run_async(
-        &self,
-        shards: usize,
-        workers: usize,
-        seed: u64,
-    ) -> (BTreeMap<QueryId, u64>, Option<QueryId>, HubStats) {
-        let mut hub =
-            AsyncHub::with_scheduler(shards, workers, Box::new(SeededScheduler::new(seed)));
-        let mut sums = BTreeMap::new();
         for q in &self.queries[..self.early] {
             hub.register_grouped(q).unwrap();
         }
@@ -258,7 +222,7 @@ proptest! {
     /// and registrations at arbitrary stream offsets that found new
     /// geometry classes or join live ones on empty-slide boundaries —
     /// replayed on the isolated sequential hub, the grouped sequential
-    /// hub, and the grouped sharded hub at 1/2/8 shards, must produce
+    /// hub, and the grouped parallel hub at 1/2/8 shards, must produce
     /// identical per-query event checksums.
     #[test]
     fn grouped_hubs_stay_byte_identical_with_mid_stream_churn(
@@ -304,11 +268,12 @@ proptest! {
         prop_assert!(grouped_stats.count_group_hits > 0);
         prop_assert_eq!(grouped_stats.count_group_rebuilds, 0, "no isolated sessions here");
         for shards in [1usize, 2, 8] {
-            let (got, par_dropped, par_stats) = schedule.run_sharded(shards, true);
+            let (got, par_dropped, par_stats) =
+                schedule.run_async(AsyncHub::new(shards, shards), true);
             prop_assert_eq!(par_dropped, iso_dropped, "unregister targets diverged");
             prop_assert_eq!(
                 &got, &expected,
-                "grouped sharded hub diverged at {} shards (queries={}, early={})",
+                "grouped parallel hub diverged at {} shards (queries={}, early={})",
                 shards, queries.len(), schedule.early
             );
             prop_assert_eq!(par_stats.count_group_hits, grouped_stats.count_group_hits,
@@ -318,8 +283,8 @@ proptest! {
 
     /// The memoization property: result-class serving (the default), the
     /// pre-memoization per-member path (knob off), a mixed population
-    /// (knob flipped mid-stream), the sharded hub with the knob off, and
-    /// the async hub under seeded schedules all produce identical
+    /// (knob flipped mid-stream), the parallel hub with the knob off, and
+    /// the parallel hub under seeded schedules all produce identical
     /// per-query event checksums to the isolated hub — which the oracle
     /// property above anchors to brute force. Geometries are drawn in
     /// duplicate so multi-member classes actually form.
@@ -374,12 +339,14 @@ proptest! {
         prop_assert_eq!(mixed_dropped, iso_dropped);
         prop_assert_eq!(&mixed, &expected, "mixed classed/unclassed hub diverged");
 
-        let (sharded_off, so_dropped, _) = schedule.run_sharded(2, false);
-        prop_assert_eq!(so_dropped, iso_dropped);
-        prop_assert_eq!(&sharded_off, &expected, "knob-off sharded hub diverged");
+        let (async_off, off_dropped, _) = schedule.run_async(AsyncHub::new(2, 2), false);
+        prop_assert_eq!(off_dropped, iso_dropped);
+        prop_assert_eq!(&async_off, &expected, "knob-off parallel hub diverged");
 
         for (shards, workers) in [(1usize, 1usize), (2, 2), (8, 3)] {
-            let (got, async_dropped, async_stats) = schedule.run_async(shards, workers, seed);
+            let scheduler = Box::new(SeededScheduler::new(seed));
+            let hub = AsyncHub::with_scheduler(shards, workers, scheduler);
+            let (got, async_dropped, async_stats) = schedule.run_async(hub, true);
             prop_assert_eq!(async_dropped, iso_dropped);
             prop_assert_eq!(
                 &got, &expected,
@@ -463,7 +430,7 @@ fn class_members_share_one_snapshot_allocation() {
 
 /// A checkpoint cut through a **warm** count group — the open slide
 /// partially filled, the ring mid-stream — must restore into both hub
-/// flavors and continue byte-identically with the uninterrupted run,
+/// and continue byte-identically with the uninterrupted run,
 /// with the sharing counters carried over.
 #[test]
 fn checkpoint_cuts_through_a_warm_count_group() {
@@ -506,10 +473,16 @@ fn checkpoint_cuts_through_a_warm_count_group() {
     fold_all(&mut seq_tail, seq.publish(&data[157..]));
     assert_eq!(seq_tail, expected_tail, "sequential restore diverged");
 
-    // sharded restore, groups placed wholesale on their members' shards
+    // parallel restore, groups placed wholesale on their members' shards
     for shards in [1usize, 3] {
-        let mut par = ShardedHub::restore(&cp, &DefaultEngineFactory, shards).unwrap();
-        let restored = par.stats().unwrap();
+        let mut par = AsyncHub::restore(&cp, &DefaultEngineFactory, shards, shards).unwrap();
+        // the reactor's backpressure pair is transport state, not
+        // checkpointed serving state
+        let restored = HubStats {
+            publisher_parks: 0,
+            queue_depth_hwm: 0,
+            ..par.stats().unwrap()
+        };
         assert_eq!(restored, expected_stats, "shards={shards}");
         let mut par_tail = BTreeMap::new();
         for chunk in data[157..].chunks(31) {
@@ -518,7 +491,7 @@ fn checkpoint_cuts_through_a_warm_count_group() {
         }
         assert_eq!(
             par_tail, expected_tail,
-            "sharded restore diverged at {shards} shards"
+            "parallel restore diverged at {shards} shards"
         );
         // the restored plane keeps serving registrations: a new query at
         // the restored offset still lands in a (possibly fresh) group
@@ -535,7 +508,7 @@ fn checkpoint_cuts_through_a_warm_count_group() {
 fn move_query_relocates_the_whole_count_group() {
     let data = stream(&(0..240).map(|i| (i * 11 % 37) as u8).collect::<Vec<_>>());
     let mut reference = Hub::new();
-    let mut hub = ShardedHub::new(4);
+    let mut hub = AsyncHub::new(4, 4);
     let mut ids = Vec::new();
     for k in 1..=4usize {
         reference
@@ -569,7 +542,7 @@ fn move_query_relocates_the_whole_count_group() {
 fn resize_preserves_the_count_plane() {
     let data = stream(&(0..300).map(|i| (i * 13 % 41) as u8).collect::<Vec<_>>());
     let mut reference = Hub::new();
-    let mut hub = ShardedHub::new(2);
+    let mut hub = AsyncHub::new(2, 2);
     for i in 0..6usize {
         let q = Query::window(12 * (1 + i % 2)).top(1 + i % 4).slide(12);
         reference.register_grouped(&q).unwrap();

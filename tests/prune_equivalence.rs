@@ -5,8 +5,7 @@
 //! the window must agree — for SAP and all four baselines, on the
 //! count plane (`register_grouped`) and the timed plane
 //! (`register_shared`), through mid-stream register/unregister churn
-//! and `move_query`, on the `ShardedHub` at 1/2/8 shards and the
-//! seeded `AsyncHub`. The pruned counter itself is pinned by an
+//! and `move_query`, on the seeded `AsyncHub` at 1/2/8 shards. The pruned counter itself is pinned by an
 //! independent re-simulation of the k-skyband gate, and a checkpoint
 //! cut through a **warm** pruning group must restore at a different
 //! shard count and continue byte-identically.
@@ -153,66 +152,17 @@ impl Schedule<'_> {
         (sums, hub.stats())
     }
 
-    /// Sharded hub, same schedule, knob broadcast to every shard.
-    fn run_sharded(
-        &self,
-        shards: usize,
-        pruning: bool,
-        timed: bool,
-    ) -> (BTreeMap<QueryId, u64>, HubStats) {
-        let mut hub = ShardedHub::new(shards);
-        hub.set_admission_pruning(pruning).unwrap();
-        let mut sums = BTreeMap::new();
-        for q in &self.queries[..self.early] {
-            if timed {
-                hub.register_shared(q).unwrap();
-            } else {
-                hub.register_grouped(q).unwrap();
-            }
-        }
-        let (mid, len) = self.bounds();
-        for (lo, hi) in self.chunk_sizes(0, mid) {
-            if timed {
-                hub.publish_timed(&self.timed_data[lo..hi]).unwrap();
-            } else {
-                hub.publish(&self.count_data[lo..hi]).unwrap();
-            }
-            fold_all(&mut sums, hub.drain().unwrap());
-        }
-        let ids: Vec<QueryId> = hub.query_ids().collect();
-        if ids.len() > 1 {
-            hub.unregister(ids[0]).expect("registered in phase one");
-        }
-        for q in &self.queries[self.early..] {
-            if timed {
-                hub.register_shared(q).unwrap();
-            } else {
-                hub.register_grouped(q).unwrap();
-            }
-        }
-        for (lo, hi) in self.chunk_sizes(mid, len) {
-            if timed {
-                hub.publish_timed(&self.timed_data[lo..hi]).unwrap();
-            } else {
-                hub.publish(&self.count_data[lo..hi]).unwrap();
-            }
-            fold_all(&mut sums, hub.drain().unwrap());
-        }
-        let stats = hub.stats().unwrap();
-        (sums, stats)
-    }
-
-    /// Async hub under a seeded adversarial schedule.
+    /// Async hub under a seeded adversarial schedule, same schedule,
+    /// knob broadcast to every shard.
     fn run_async(
         &self,
         shards: usize,
-        workers: usize,
         seed: u64,
         pruning: bool,
         timed: bool,
     ) -> (BTreeMap<QueryId, u64>, HubStats) {
         let mut hub =
-            AsyncHub::with_scheduler(shards, workers, Box::new(SeededScheduler::new(seed)));
+            AsyncHub::with_scheduler(shards, shards, Box::new(SeededScheduler::new(seed)));
         hub.set_admission_pruning(pruning).unwrap();
         let mut sums = BTreeMap::new();
         for q in &self.queries[..self.early] {
@@ -333,8 +283,8 @@ proptest! {
     /// The count-plane churn property: the same schedule — mid-stream
     /// unregister, late registrations founding or joining sub-groups,
     /// mixed predicates — replayed with pruning on and off, on the
-    /// sequential hub, the sharded hub at 1/2/8 shards, and the seeded
-    /// async hub, must produce identical per-query event checksums.
+    /// sequential hub and the seeded async hub at 1/2/8 shards, must
+    /// produce identical per-query event checksums.
     /// The pruned counter is deterministic, so every pruning arm
     /// reports the same count.
     #[test]
@@ -381,19 +331,16 @@ proptest! {
             "pruning only reroutes admissions, it never changes their total"
         );
         for shards in [1usize, 2, 8] {
-            let (got, par_stats) = schedule.run_sharded(shards, true, false);
+            let (got, par_stats) = schedule.run_async(shards, seed, true, false);
             prop_assert_eq!(
                 &got, &expected,
-                "sharded pruning arm diverged at {} shards", shards
+                "async pruning arm diverged at {} shards (seed={:#018x})", shards, seed
             );
             prop_assert_eq!(
                 par_stats.pruned, on_stats.pruned,
                 "the gate is deterministic: same stream, same prunes"
             );
         }
-        let (got, async_stats) = schedule.run_async(2, 2, seed, true, false);
-        prop_assert_eq!(&got, &expected, "async pruning arm diverged (seed={:#018x})", seed);
-        prop_assert_eq!(async_stats.pruned, on_stats.pruned);
     }
 
     /// The timed-plane churn property: the same invariants on the
@@ -439,15 +386,13 @@ proptest! {
         prop_assert_eq!(&on, &expected, "timed pruning arm diverged from reference");
         prop_assert_eq!(on_stats.admitted + on_stats.pruned, off_stats.admitted);
         for shards in [1usize, 2, 8] {
-            let (got, par_stats) = schedule.run_sharded(shards, true, true);
+            let (got, par_stats) = schedule.run_async(shards, seed, true, true);
             prop_assert_eq!(
                 &got, &expected,
-                "sharded timed pruning arm diverged at {} shards", shards
+                "async timed pruning arm diverged at {} shards (seed={:#018x})", shards, seed
             );
             prop_assert_eq!(par_stats.pruned, on_stats.pruned);
         }
-        let (got, _) = schedule.run_async(2, 2, seed, true, true);
-        prop_assert_eq!(&got, &expected, "async timed pruning arm diverged (seed={:#018x})", seed);
     }
 }
 
@@ -536,7 +481,7 @@ fn pruned_counter_matches_an_independent_gate_resimulation() {
 /// A checkpoint cut through a **warm** pruning group — open slide
 /// partially filled, the gate holding admitted scores, predicates and
 /// admission counters live — must restore into the sequential hub and
-/// the sharded hub at a *different* shard count, continue
+/// the parallel hub at a *different* shard count, continue
 /// byte-identically, and carry the admission counters (FORMAT v3).
 #[test]
 fn checkpoint_cuts_through_a_warm_pruning_group() {
@@ -546,7 +491,7 @@ fn checkpoint_cuts_through_a_warm_pruning_group() {
             .map(|i| ((i * 7 + 3) % 51) as u8)
             .collect::<Vec<_>>(),
     );
-    let mut hub = ShardedHub::new(2);
+    let mut hub = AsyncHub::new(2, 2);
     for (i, kind) in kinds.iter().enumerate() {
         hub.register_grouped(
             &Query::window(30)
@@ -565,7 +510,14 @@ fn checkpoint_cuts_through_a_warm_pruning_group() {
     fold_all(&mut sums, hub.drain().unwrap());
     let (cp, residue) = hub.checkpoint().unwrap();
     fold_all(&mut sums, residue);
-    let stats_at_cut = hub.stats().unwrap();
+    // the reactor's backpressure pair is transport state, not
+    // checkpointed serving state
+    let serving_stats = |hub: &mut AsyncHub| HubStats {
+        publisher_parks: 0,
+        queue_depth_hwm: 0,
+        ..hub.stats().unwrap()
+    };
+    let stats_at_cut = serving_stats(&mut hub);
     assert_eq!(
         stats_at_cut.count_groups, 2,
         "predicate-disjoint members split one geometry class"
@@ -584,8 +536,8 @@ fn checkpoint_cuts_through_a_warm_pruning_group() {
     let mut expected_stats = stats_at_cut;
     expected_stats.class_hits = 0;
     for shards in [1usize, 5] {
-        let mut par = ShardedHub::restore(&cp, &DefaultEngineFactory, shards).unwrap();
-        let restored = par.stats().unwrap();
+        let mut par = AsyncHub::restore(&cp, &DefaultEngineFactory, shards, shards).unwrap();
+        let restored = serving_stats(&mut par);
         assert_eq!(
             restored, expected_stats,
             "admission counters travel (shards={shards})"
@@ -619,7 +571,7 @@ fn move_query_relocates_a_filtered_pruning_group() {
     );
     let predicate = Predicate::any().score_at_least(8.0);
     let mut reference = Hub::new();
-    let mut hub = ShardedHub::new(4);
+    let mut hub = AsyncHub::new(4, 4);
     let mut ids = Vec::new();
     for k in 1..=4usize {
         let q = Query::window(16).top(k).slide(8).filter(predicate);

@@ -2,7 +2,7 @@
 //! shared plane (`HubExt::register_shared`) must produce the **same
 //! results** as every isolated surface — the raw `TimeBased` adapter, an
 //! isolated `TimedSession`, the sequential `Hub`'s isolated timed path —
-//! and as a brute-force time-window oracle; and the `ShardedHub`'s
+//! and as a brute-force time-window oracle; and the `AsyncHub`'s
 //! shard-local slide groups must reproduce the sequential shared hub
 //! checksum-for-checksum at 1, 2, and 8 shards. Streams are jittered
 //! (bursts, quiet stretches, empty slides), schedules include mid-stream
@@ -213,9 +213,10 @@ impl Schedule<'_> {
         (sums, dropped)
     }
 
-    /// Sharded hub, all queries on the shared plane (shard-local groups).
-    fn run_sharded(&self, shards: usize) -> (BTreeMap<QueryId, u64>, Option<QueryId>) {
-        let mut hub = ShardedHub::new(shards);
+    /// Parallel hub (one worker per shard), all queries on the shared
+    /// plane (shard-local groups).
+    fn run_async(&self, shards: usize) -> (BTreeMap<QueryId, u64>, Option<QueryId>) {
+        let mut hub = AsyncHub::new(shards, shards);
         let mut sums = BTreeMap::new();
         for q in &self.queries[..self.early] {
             hub.register_shared(q).unwrap();
@@ -249,7 +250,7 @@ proptest! {
     /// The churn property: the same schedule — mid-stream unregister, and
     /// mid-stream joins that land inside live groups (warm-up) and can
     /// grow a group's `k_max` — replayed on the isolated sequential hub,
-    /// the shared sequential hub, and the shared sharded hub at 1/2/8
+    /// the shared sequential hub, and the shared parallel hub at 1/2/8
     /// shards, must produce identical per-query event checksums.
     #[test]
     fn shared_hubs_stay_byte_identical_with_mid_stream_churn(
@@ -296,11 +297,11 @@ proptest! {
             queries.len(), schedule.early
         );
         for shards in [1usize, 2, 8] {
-            let (got, par_dropped) = schedule.run_sharded(shards);
+            let (got, par_dropped) = schedule.run_async(shards);
             prop_assert_eq!(par_dropped, iso_dropped, "unregister targets diverged");
             prop_assert_eq!(
                 &got, &expected,
-                "shared sharded hub diverged at {} shards (queries={}, early={})",
+                "shared parallel hub diverged at {} shards (queries={}, early={})",
                 shards, queries.len(), schedule.early
             );
         }
@@ -390,7 +391,7 @@ fn shared_hubs_agree_on_poisson_stock_stream() {
     let (shared, _) = schedule.run_hub(true);
     assert_eq!(shared, expected, "shared sequential diverged");
     for shards in [1usize, 2, 8] {
-        let (got, _) = schedule.run_sharded(shards);
+        let (got, _) = schedule.run_async(shards);
         assert_eq!(got, expected, "diverged at {shards} shards");
     }
 }

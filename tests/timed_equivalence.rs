@@ -1,7 +1,7 @@
 //! Time-based query equivalence: a query built with
 //! `Query::window_duration(..)` must produce the **same snapshots** on
 //! every surface — the raw `TimeBased` adapter, a `TimedSession`, the
-//! sequential `Hub`, and the `ShardedHub` at 1/2/8 shards — and those
+//! sequential `Hub`, and the `AsyncHub` at 1/2/8 shards — and those
 //! snapshots must match a brute-force time-window oracle, on
 //! variable-rate streams whose slides range from packed to empty.
 //! A second property mixes count- and time-based queries with mid-stream
@@ -50,7 +50,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Every surface agrees with the oracle: direct adapter, session,
-    /// sequential hub, sharded hub — same stream, same snapshots.
+    /// sequential hub, parallel hub — same stream, same snapshots.
     #[test]
     fn timed_query_matches_oracle_on_every_surface(
         raw in vec((0u8..=12, 0u8..24), 40..160),
@@ -121,9 +121,9 @@ proptest! {
         prop_assert_eq!(&got, &expected, "Hub diverged");
         prop_assert_eq!(hub.timed_session(qid).unwrap().slides(), expected.len() as u64);
 
-        // 4. the sharded hub, with drains interleaved per chunk
+        // 4. the parallel hub, with drains interleaved per chunk
         for shards in [1usize, 2, 8] {
-            let mut par = ShardedHub::new(shards);
+            let mut par = AsyncHub::new(shards, shards);
             par.register(&query).unwrap();
             let mut got: Vec<Snapshot> = Vec::new();
             for chunk in data.chunks(11) {
@@ -132,7 +132,7 @@ proptest! {
             }
             par.advance_time(horizon).unwrap();
             got.extend(par.drain().unwrap().into_iter().map(|u| u.result.snapshot));
-            prop_assert_eq!(&got, &expected, "ShardedHub({}) diverged", shards);
+            prop_assert_eq!(&got, &expected, "AsyncHub({}) diverged", shards);
         }
     }
 }
@@ -199,8 +199,8 @@ impl Schedule<'_> {
         (sums, dropped)
     }
 
-    fn run_sharded(&self, shards: usize) -> (BTreeMap<QueryId, u64>, Option<QueryId>) {
-        let mut hub = ShardedHub::new(shards);
+    fn run_async(&self, shards: usize) -> (BTreeMap<QueryId, u64>, Option<QueryId>) {
+        let mut hub = AsyncHub::new(shards, shards);
         let mut sums = BTreeMap::new();
         for q in &self.queries[..self.early] {
             hub.register(q).unwrap();
@@ -281,7 +281,7 @@ proptest! {
         let (expected, seq_dropped) = schedule.run_sequential();
         prop_assert!(!expected.is_empty());
         for shards in [1usize, 2, 8] {
-            let (got, par_dropped) = schedule.run_sharded(shards);
+            let (got, par_dropped) = schedule.run_async(shards);
             prop_assert_eq!(par_dropped, seq_dropped, "unregister targets diverged");
             prop_assert_eq!(
                 &got, &expected,
@@ -333,7 +333,7 @@ fn mixed_hubs_agree_on_poisson_stock_stream() {
     let (expected, _) = schedule.run_sequential();
     assert!(!expected.is_empty());
     for shards in [1usize, 2, 8] {
-        let (got, _) = schedule.run_sharded(shards);
+        let (got, _) = schedule.run_async(shards);
         assert_eq!(got, expected, "diverged at {shards} shards");
     }
 }

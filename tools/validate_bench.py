@@ -176,8 +176,8 @@ def validate_hotpath(artifact, doc):
         artifact,
         f'legacy/pooled alloc ratio {doc["alloc_ratio_legacy_vs_pooled"]} below 5x',
     )
-    # legacy, pooled, and pooled-sharded all claim byte-identical output
-    single_checksum(artifact, runs, "legacy/pooled/sharded")
+    # legacy, pooled, and pooled-async all claim byte-identical output
+    single_checksum(artifact, runs, "legacy/pooled/async")
 
 
 def validate_checkpoint(artifact, doc):
@@ -190,7 +190,7 @@ def validate_checkpoint(artifact, doc):
     if not check(len(runs) > 0, artifact, "no runs"):
         return
     hubs = {r.get("hub") for r in runs}
-    check({"sequential", "sharded"} <= hubs, artifact, f"need sequential and sharded runs, got {sorted(hubs)}")
+    check({"sequential", "async"} <= hubs, artifact, f"need sequential and async runs, got {sorted(hubs)}")
     for r in runs:
         if not require(
             artifact,
@@ -296,16 +296,16 @@ def validate_fanout(artifact, doc):
         )
         if iso["quiet_ns_per_object"] is not None:
             check(iso["quiet_objects"] > 0, artifact, f"{label}: quiet cost without quiet objects")
-    # the sharded cross-check run lands on the top rung's reference
-    sharded = [r for r in runs if r["hub"] == "grouped-sharded"]
-    check(len(sharded) > 0, artifact, "no grouped-sharded cross-check run")
-    for r in sharded:
+    # the parallel cross-check run lands on the top rung's reference
+    parallel = [r for r in runs if r["hub"] == "grouped-async"]
+    check(len(parallel) > 0, artifact, "no grouped-async cross-check run")
+    for r in parallel:
         check(
             r["checksum"] == rungs[top]["isolated"]["checksum"],
             artifact,
-            f'grouped-sharded({r["shards"]}) diverged from the top-rung reference',
+            f'grouped-async({r["shards"]}) diverged from the top-rung reference',
         )
-        check(r["count_group_hits"] > 0, artifact, f'grouped-sharded({r["shards"]}): no count-group hits')
+        check(r["count_group_hits"] > 0, artifact, f'grouped-async({r["shards"]}): no count-group hits')
     # the tentpole claim: the quiet (no-slide-completed) ingest cost of
     # the grouped path is per-geometry-class, not per-query. Three
     # faces of it, from strongest to jitter-proofest: the grouped quiet
@@ -573,9 +573,9 @@ def validate_async(artifact, doc):
         check(r["publisher_parks"] >= 0, artifact, f"{label}: negative park count")
         by_hub.setdefault(r["hub"], []).append(r)
     if not check(
-        {"sequential", "sharded", "async"} <= set(by_hub),
+        {"sequential", "async"} <= set(by_hub),
         artifact,
-        f"need sequential, sharded, and async runs, got {sorted(by_hub)}",
+        f"need sequential and async runs, got {sorted(by_hub)}",
     ):
         return
     # every run replays the same stream to the same queries
@@ -614,18 +614,16 @@ def validate_async(artifact, doc):
         f'allocs/object {doc["allocs_per_object"]} over ceiling {doc["alloc_ceiling"]}',
     )
     # one reactor thread must hold single-core parity with the
-    # thread-per-shard hub (the binary asserts the same 5% budget)
-    sharded_1 = [r for r in by_hub["sharded"] if r["shards"] == 1]
+    # sequential hub (the binary asserts the same 5% budget)
+    sequential = by_hub["sequential"]
     async_1w = [r for r in async_runs if r["workers"] == 1]
-    if check(len(sharded_1) > 0, artifact, "no sharded(1) reference run") and check(
-        len(async_1w) > 0, artifact, "no async 1-worker run"
-    ):
-        floor = 0.95 * sharded_1[0]["objects_per_sec"]
+    if check(len(async_1w) > 0, artifact, "no async 1-worker run"):
+        floor = 0.95 * sequential[0]["objects_per_sec"]
         check(
             async_1w[0]["objects_per_sec"] >= floor,
             artifact,
-            f'async(1w) {async_1w[0]["objects_per_sec"]} obj/s below 95% of sharded(1) '
-            f'{sharded_1[0]["objects_per_sec"]}',
+            f'async(1w) {async_1w[0]["objects_per_sec"]} obj/s below 95% of sequential '
+            f'{sequential[0]["objects_per_sec"]}',
         )
 
 
