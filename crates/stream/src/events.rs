@@ -23,7 +23,13 @@
 //!
 //! When the engine can prove the result did not change (SAP's `dirty`
 //! flag, see `sap_core`), the delta is the single [`TopKEvent::Unchanged`]
-//! marker produced in `O(1)` without any comparison.
+//! marker produced in `O(1)` without any comparison. Otherwise
+//! [`diff_snapshots_into`] pays for what changed, not for `k`: one walk
+//! over both snapshots in result order skips every object the slide left
+//! in place, and only the `m` remaining candidates are sorted and decided
+//! by id — `O(k + m log m)` plus `O(k log m)` for two membership scans.
+//! Events pair objects **by id**: an id present in both snapshots yields
+//! no event, whatever its scores or copies (ids reused inside a window).
 //!
 //! ```
 //! use sap_stream::{diff_snapshots, Object, TopKEvent};
@@ -36,6 +42,7 @@
 //! );
 //! ```
 
+use std::cmp::Ordering;
 use std::sync::{Arc, OnceLock};
 
 use crate::object::Object;
@@ -397,25 +404,88 @@ impl SlideResult {
     }
 }
 
-/// Reusable id buffers for [`diff_snapshots_into`]: two sorted-id lists
-/// that would otherwise be allocated per diffed slide. Owned by each
+/// Reusable buffers for [`diff_snapshots_into`]: the objects its walk
+/// could not pair, and their ids with membership flags. Owned by each
 /// session's `SlideScratch`, cleared (capacity retained) on every use —
 /// after warm-up the diff runs entirely on recycled memory.
 #[derive(Debug, Default)]
 pub struct DiffScratch {
-    prev_ids: Vec<u64>,
-    next_ids: Vec<u64>,
+    /// `(side, position)` of every object the walk could not pair, side
+    /// `IN_PREV` or `IN_NEXT`, in walk order — so ascending per side.
+    candidates: Vec<(u8, usize)>,
+    /// `(id, flags)` for every candidate id, sorted and deduplicated by
+    /// id; `flags` gains `IN_PREV`/`IN_NEXT` when the id occurs anywhere
+    /// in that snapshot.
+    members: Vec<(u64, u8)>,
+}
+
+/// Side and membership flag: `prev`.
+const IN_PREV: u8 = 1;
+/// Side and membership flag: `next`.
+const IN_NEXT: u8 = 2;
+
+impl DiffScratch {
+    /// Flags `flag` on every candidate id that occurs in `objects`.
+    fn mark_members(&mut self, objects: &[Object], flag: u8) {
+        for o in objects {
+            if let Ok(at) = self.members.binary_search_by_key(&o.id, |m| m.0) {
+                self.members[at].1 |= flag;
+            }
+        }
+    }
+
+    /// Pushes an event for each candidate on `side` whose id does not
+    /// occur on the other side, in `side`'s order.
+    fn decide(
+        &self,
+        side: u8,
+        objects: &[Object],
+        events: &mut EventList,
+        event: fn(Object) -> TopKEvent,
+    ) {
+        let other = side ^ (IN_PREV | IN_NEXT);
+        for &(_, at) in self.candidates.iter().filter(|c| c.0 == side) {
+            let o = objects[at];
+            let member = self
+                .members
+                .binary_search_by_key(&o.id, |m| m.0)
+                .expect("every candidate id is indexed");
+            if self.members[member].1 & other == 0 {
+                events.push(event(o));
+            }
+        }
+    }
 }
 
 /// Computes the delta events between two consecutive snapshots into
-/// `events`, borrowing `scratch` for the membership index instead of
-/// allocating — the pooled core of [`diff_snapshots`].
+/// `events`, borrowing `scratch` instead of allocating — the pooled core
+/// of [`diff_snapshots`].
 ///
 /// `known_unchanged` short-circuits the diff: when the algorithm has
 /// already proved the result identical (e.g. SAP's clean `dirty` flag),
 /// the comparison is skipped entirely and `[Unchanged]` is produced —
-/// this is the `O(1)` path for quiet slides. Without that proof the two
-/// snapshots are diffed by object id in `O(k)`.
+/// this is the `O(1)` path for quiet slides.
+///
+/// Without that proof the snapshots are paired **by id**: every object
+/// of `prev` whose id does not occur in `next` is `Exited` (in `prev`
+/// order), then every object of `next` whose id does not occur in `prev`
+/// is `Entered` (in `next` order); if neither side produces an event the
+/// delta is `[Unchanged]`. Under id reuse the rule stays by id: an id
+/// present on both sides produces no event for any of its copies, even
+/// when their scores differ.
+///
+/// The cost follows the change, not `k`. One walk over both snapshots in
+/// result order (scores compared with [`f64::total_cmp`], so `NaN` and
+/// `-0.0` order like any other score) pairs the objects the slide left
+/// in place — equal score and equal id — and marks the other `m` as
+/// candidates: the higher-scored side when scores differ, both whole
+/// equal-score runs when ids differ at one score, and every leftover
+/// tail. A paired object cannot produce an event, so only candidates are
+/// decided: their ids are sorted, both snapshots are scanned once to flag
+/// which candidate ids each contains, and the by-id rule is applied to
+/// the candidates alone. That is `O(k + m log m)` plus `O(k log m)` for
+/// the scans; a churn slide has `m` of a few objects. Unsorted input
+/// only makes `m` larger, never the events different.
 ///
 /// `events` is cleared first; with at most [`EventList::INLINE`] deltas
 /// the call performs **zero** allocations after scratch warm-up.
@@ -427,33 +497,69 @@ pub fn diff_snapshots_into(
     events: &mut EventList,
 ) {
     events.clear();
-    if known_unchanged || prev == next {
-        if !(next.is_empty() && prev.is_empty()) {
-            events.push(TopKEvent::Unchanged);
-        }
+    if prev.is_empty() && next.is_empty() {
         return;
     }
-    // k is small; membership via sorted id lists keeps this allocation-free
-    scratch.next_ids.clear();
-    scratch.next_ids.extend(next.iter().map(|o| o.id));
-    scratch.next_ids.sort_unstable();
-    scratch.prev_ids.clear();
-    scratch.prev_ids.extend(prev.iter().map(|o| o.id));
-    scratch.prev_ids.sort_unstable();
-    let mut any = false;
-    for o in prev {
-        if scratch.next_ids.binary_search(&o.id).is_err() {
-            events.push(TopKEvent::Exited(*o));
-            any = true;
+    if known_unchanged {
+        events.push(TopKEvent::Unchanged);
+        return;
+    }
+    scratch.candidates.clear();
+    let (mut i, mut j) = (0, 0);
+    while i < prev.len() && j < next.len() {
+        let (p, n) = (prev[i], next[j]);
+        match p.score.total_cmp(&n.score) {
+            Ordering::Greater => {
+                scratch.candidates.push((IN_PREV, i));
+                i += 1;
+            }
+            Ordering::Less => {
+                scratch.candidates.push((IN_NEXT, j));
+                j += 1;
+            }
+            Ordering::Equal if p.id == n.id => {
+                i += 1;
+                j += 1;
+            }
+            Ordering::Equal => {
+                // an equal-score run reordered or swapped members: hand
+                // both runs to the by-id decision
+                while i < prev.len() && prev[i].score.total_cmp(&p.score).is_eq() {
+                    scratch.candidates.push((IN_PREV, i));
+                    i += 1;
+                }
+                while j < next.len() && next[j].score.total_cmp(&p.score).is_eq() {
+                    scratch.candidates.push((IN_NEXT, j));
+                    j += 1;
+                }
+            }
         }
     }
-    for o in next {
-        if scratch.prev_ids.binary_search(&o.id).is_err() {
-            events.push(TopKEvent::Entered(*o));
-            any = true;
-        }
+    scratch
+        .candidates
+        .extend((i..prev.len()).map(|at| (IN_PREV, at)));
+    scratch
+        .candidates
+        .extend((j..next.len()).map(|at| (IN_NEXT, at)));
+    if scratch.candidates.is_empty() {
+        events.push(TopKEvent::Unchanged);
+        return;
     }
-    if !any {
+
+    scratch.members.clear();
+    scratch
+        .members
+        .extend(scratch.candidates.iter().map(|&(side, at)| {
+            let o = if side == IN_PREV { prev[at] } else { next[at] };
+            (o.id, 0)
+        }));
+    scratch.members.sort_unstable_by_key(|m| m.0);
+    scratch.members.dedup_by_key(|m| m.0);
+    scratch.mark_members(prev, IN_PREV);
+    scratch.mark_members(next, IN_NEXT);
+    scratch.decide(IN_PREV, prev, events, TopKEvent::Exited);
+    scratch.decide(IN_NEXT, next, events, TopKEvent::Entered);
+    if events.is_empty() {
         // same membership, possibly reordered — the result order is total,
         // so identical membership implies an identical sequence
         events.push(TopKEvent::Unchanged);
@@ -635,6 +741,210 @@ mod tests {
         assert!(events.is_unchanged());
         diff_snapshots_into(&[], &[], false, &mut scratch, &mut events);
         assert!(events.is_empty());
+    }
+
+    /// The sort-by-id diff `diff_snapshots_into` replaced, kept as the
+    /// differential reference: both id lists sorted, every object
+    /// binary-searched on the other side.
+    fn reference_diff(prev: &[Object], next: &[Object], known_unchanged: bool) -> Vec<TopKEvent> {
+        let mut events = Vec::new();
+        if known_unchanged || prev == next {
+            if !(next.is_empty() && prev.is_empty()) {
+                events.push(TopKEvent::Unchanged);
+            }
+            return events;
+        }
+        let mut next_ids: Vec<u64> = next.iter().map(|o| o.id).collect();
+        next_ids.sort_unstable();
+        let mut prev_ids: Vec<u64> = prev.iter().map(|o| o.id).collect();
+        prev_ids.sort_unstable();
+        for o in prev {
+            if next_ids.binary_search(&o.id).is_err() {
+                events.push(TopKEvent::Exited(*o));
+            }
+        }
+        for o in next {
+            if prev_ids.binary_search(&o.id).is_err() {
+                events.push(TopKEvent::Entered(*o));
+            }
+        }
+        if events.is_empty() {
+            events.push(TopKEvent::Unchanged);
+        }
+        events
+    }
+
+    /// Events as comparable bits: `TopKEvent`'s `PartialEq` says
+    /// `NaN != NaN` and `-0.0 == 0.0`, the differential check must not.
+    fn bits(events: &[TopKEvent]) -> Vec<(u8, u64, u64)> {
+        events
+            .iter()
+            .map(|e| match e {
+                TopKEvent::Entered(o) => (0, o.id, o.score.to_bits()),
+                TopKEvent::Exited(o) => (1, o.id, o.score.to_bits()),
+                TopKEvent::Unchanged => (2, 0, 0),
+            })
+            .collect()
+    }
+
+    /// xorshift64*: seeded, dependency-free.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A score from a small palette — long equal-score runs, `-0.0` next
+    /// to `0.0`, and NaN — or, half the time, from a wide range.
+    fn score(rng: &mut Rng) -> f64 {
+        const PALETTE: [f64; 8] = [5.0, 5.0, 3.0, 0.0, -0.0, f64::NAN, -1.0, f64::INFINITY];
+        if rng.below(2) == 0 {
+            PALETTE[rng.below(PALETTE.len() as u64) as usize]
+        } else {
+            rng.below(1_000) as f64 / 8.0
+        }
+    }
+
+    /// Result order: descending by `total_cmp`.
+    fn sort_desc(objects: &mut [Object]) {
+        objects.sort_by(|a, b| b.score.total_cmp(&a.score));
+    }
+
+    /// One seeded snapshot pair: `next` is `prev` after a slide's churn
+    /// (drops, arrivals, rescored ids), with ids drawn from a small range
+    /// so they recur inside and across the two snapshots.
+    fn snapshot_pair(rng: &mut Rng) -> (Vec<Object>, Vec<Object>) {
+        let k = match rng.below(64) {
+            0..=3 => 0,
+            4 => 100 + rng.below(500) as usize,
+            _ => 1 + rng.below(24) as usize,
+        };
+        let id_range = 1 + 2 * k as u64;
+        let mut prev: Vec<Object> = (0..k)
+            .map(|_| Object {
+                id: rng.below(id_range),
+                score: score(rng),
+            })
+            .collect();
+        sort_desc(&mut prev);
+        let mut next = prev.clone();
+        let churn = rng.below(4 + k as u64 / 20);
+        for _ in 0..churn {
+            match rng.below(4) {
+                0 if !next.is_empty() => {
+                    next.remove(rng.below(next.len() as u64) as usize);
+                }
+                1 if !next.is_empty() => {
+                    let at = rng.below(next.len() as u64) as usize;
+                    next[at].score = score(rng);
+                }
+                _ => next.push(Object {
+                    id: rng.below(id_range),
+                    score: score(rng),
+                }),
+            }
+        }
+        match rng.below(16) {
+            0 => next.clear(),
+            1 => prev.clear(),
+            // a custom engine may emit in any order
+            2 => {
+                let len = next.len();
+                for at in (1..len).rev() {
+                    next.swap(at, rng.below(at as u64 + 1) as usize);
+                }
+            }
+            3 => {
+                prev.reverse();
+                sort_desc(&mut next);
+            }
+            _ => sort_desc(&mut next),
+        }
+        (prev, next)
+    }
+
+    #[test]
+    fn walk_matches_the_sort_by_id_reference_on_seeded_pairs() {
+        let mut rng = Rng(0x5eed_d1ff);
+        let mut scratch = DiffScratch::default();
+        let mut events = EventList::new();
+        let mut changed = 0;
+        for case in 0..200_000u32 {
+            let (prev, next) = snapshot_pair(&mut rng);
+            let known_unchanged = rng.below(32) == 0;
+            let (prev, next) = if known_unchanged {
+                (prev.clone(), prev)
+            } else {
+                (prev, next)
+            };
+            diff_snapshots_into(&prev, &next, known_unchanged, &mut scratch, &mut events);
+            let expect = reference_diff(&prev, &next, known_unchanged);
+            assert_eq!(
+                bits(&events),
+                bits(&expect),
+                "case {case}: prev {prev:?} next {next:?}"
+            );
+            if !events.is_empty() && !events.is_unchanged() {
+                changed += 1;
+            }
+        }
+        assert!(changed > 100_000, "the pairs must mostly churn ({changed})");
+    }
+
+    #[test]
+    fn events_list_exits_in_prev_order_then_entries_in_next_order() {
+        let prev = vec![o(1, 9.0), o(2, 7.0), o(3, 5.0), o(4, 3.0)];
+        let next = vec![o(5, 10.0), o(1, 9.0), o(6, 6.0), o(3, 5.0), o(7, 1.0)];
+        assert_eq!(
+            diff_snapshots(&prev, &next, false),
+            vec![
+                TopKEvent::Exited(prev[1]),
+                TopKEvent::Exited(prev[3]),
+                TopKEvent::Entered(next[0]),
+                TopKEvent::Entered(next[2]),
+                TopKEvent::Entered(next[4]),
+            ]
+        );
+    }
+
+    #[test]
+    fn pairing_is_by_id_under_reuse_nan_and_signed_zero() {
+        // a rescored id is present on both sides: no event for it
+        let prev = vec![o(1, 9.0), o(2, 7.0)];
+        let next = vec![o(2, 8.0), o(1, 6.0)];
+        assert_eq!(
+            diff_snapshots(&prev, &next, false),
+            vec![TopKEvent::Unchanged]
+        );
+        // a reused id leaves only when no copy of it remains
+        let prev = vec![o(4, 9.0), o(4, 2.0), o(5, 1.0)];
+        let next = vec![o(4, 9.0), o(6, 3.0)];
+        assert_eq!(
+            diff_snapshots(&prev, &next, false),
+            vec![TopKEvent::Exited(prev[2]), TopKEvent::Entered(next[1])]
+        );
+        // NaN and -0.0 reach the hub in release builds; the walk orders
+        // them with total_cmp and still terminates and pairs by id
+        let nan = Object {
+            id: 7,
+            score: f64::NAN,
+        };
+        let prev = vec![nan, o(8, 0.0), o(9, -0.0)];
+        let next = vec![nan, o(9, 0.0), o(10, -0.0)];
+        let events = diff_snapshots(&prev, &next, false);
+        assert_eq!(
+            bits(&events),
+            bits(&[TopKEvent::Exited(prev[1]), TopKEvent::Entered(next[2])])
+        );
     }
 
     #[test]

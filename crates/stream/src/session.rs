@@ -73,8 +73,8 @@ use crate::window::{Ingest, SlidingTopK, TimedIngest, TimedTopK, WindowSpec};
 ///   [`Snapshot`] (one `Arc` allocation, only
 ///   when the result changed) or discarded in favour of re-emitting the
 ///   previous `Arc` (a quiet slide — zero allocations);
-/// * the **diff scratch**: the two sorted-id buffers
-///   [`diff_snapshots_into`] borrows
+/// * the **diff scratch**: the candidate positions and sorted candidate
+///   ids [`diff_snapshots_into`] borrows
 ///   instead of allocating per slide.
 ///
 /// After the first few slides warm the buffers to their steady-state
@@ -87,7 +87,7 @@ use crate::window::{Ingest, SlidingTopK, TimedIngest, TimedTopK, WindowSpec};
 pub struct SlideScratch {
     /// Build buffer for the slide's translated snapshot.
     pub(crate) snapshot: Vec<Object>,
-    /// Sorted-id membership buffers for the delta diff.
+    /// Candidate buffers for the delta diff.
     pub(crate) diff: crate::events::DiffScratch,
 }
 
@@ -174,6 +174,18 @@ pub(crate) fn close_staged(
     };
     *prev = snapshot.clone();
     snapshot
+}
+
+/// Stages an engine emission `top` into `out`, translating each internal
+/// arrival ordinal back to the external id the translation `ring`
+/// recorded for it.
+fn translate_into(top: &[Object], ring: &[u64], out: &mut Vec<Object>) {
+    let cap = ring.len() as u64;
+    out.clear();
+    out.extend(
+        top.iter()
+            .map(|o| Object::new(ring[(o.id % cap) as usize], o.score)),
+    );
 }
 
 /// A session: one algorithm instance plus the ingestion buffer, the id
@@ -282,19 +294,32 @@ impl<A: SlidingTopK> Session<A> {
     /// staged in the pooled scratch, so the only possible allocation is
     /// the shared `Arc` snapshot of a *changed* result.
     fn complete_slide(&mut self) -> SlideResult {
-        let cap = self.ring.len() as u64;
-        {
-            let top = self.alg.slide(&self.pending);
-            self.scratch.snapshot.clear();
-            let ring = &self.ring;
-            self.scratch.snapshot.extend(
-                top.iter()
-                    .map(|o| Object::new(ring[(o.id % cap) as usize], o.score)),
-            );
-        }
+        let top = self.alg.slide(&self.pending);
+        translate_into(top, &self.ring, &mut self.scratch.snapshot);
         self.pending.clear();
         let quiet = !self.alg.last_slide_changed();
         emit_staged(&mut self.prev, &mut self.slides, &mut self.scratch, quiet)
+    }
+
+    /// Restores the engine's window by feeding `window` (a whole number of
+    /// slides) straight to the engine, then translates only the last
+    /// slide's result into the retained previous emission. The slides
+    /// before it emit nothing, so they skip the translation, the diff and
+    /// the `Arc` that `complete_slide` would build and drop.
+    fn replay_window(&mut self, window: &[Object]) {
+        let slides = window.chunks_exact(self.alg.spec().s);
+        let last = slides.len();
+        for (at, slide) in slides.enumerate() {
+            for o in slide {
+                self.buffer_one(o);
+            }
+            let top = self.alg.slide(&self.pending);
+            if at + 1 == last {
+                translate_into(top, &self.ring, &mut self.scratch.snapshot);
+                self.prev = Snapshot::from_slice(&self.scratch.snapshot);
+            }
+            self.pending.clear();
+        }
     }
 
     /// Writes the session's checkpoint body: the slide counter, the
@@ -329,10 +354,11 @@ impl<A: SlidingTopK> Session<A> {
 
     /// Rebuilds a session from its checkpoint body by replay: `engine`
     /// must be fresh (as built by an
-    /// [`EngineFactory`]); the retained window and
-    /// pending buffer are re-pushed through the normal ingestion path
-    /// (emissions discarded), then the slide counter is restored so the
-    /// next emission carries the original slide index. Replayed arrival
+    /// [`EngineFactory`]); the retained window is fed to it slide by
+    /// slide, only the last slide's result becoming the previous emission
+    /// (see `replay_window`), the pending buffer is re-buffered, and the
+    /// slide counter is restored so the next emission carries the
+    /// original slide index. Replayed arrival
     /// ordinals restart at 0 — harmless, because translation and
     /// tie-breaks depend only on ordinal *ordering*, which replay
     /// preserves.
@@ -363,9 +389,10 @@ impl<A: SlidingTopK> Session<A> {
             ));
         }
         let mut session = Session::new(engine);
-        session.push_each(&window, &mut |_| {});
-        session.push_each(&pending, &mut |_| {});
-        debug_assert_eq!(session.pending.len(), pending.len());
+        session.replay_window(&window);
+        for o in &pending {
+            session.buffer_one(o);
+        }
         session.slides = slides;
         Ok(session)
     }
@@ -536,9 +563,9 @@ impl<E: TimedTopK> TimedIngest for TimedSession<E> {
     /// (`TimeBased<E>`) the only heap activity per completed slide is
     /// the shared `Arc` snapshot of a *changed* result. Engines close
     /// slides eagerly inside one ingest call, so a per-slide dirty flag
-    /// is not observable here; the O(k) diff is the honest cost (k is
-    /// small), and an unchanged outcome still re-emits the previous
-    /// `Arc`.
+    /// is not observable here; the diff's walk is the honest cost
+    /// (`O(k)` plus its few candidates), and an unchanged outcome still
+    /// re-emits the previous `Arc`.
     fn push_timed_each(&mut self, objects: &[TimedObject], f: &mut dyn FnMut(SlideResult)) {
         let TimedSession {
             engine,
@@ -1907,6 +1934,32 @@ mod tests {
         );
         assert!(!r1.snapshot.ptr_eq(&r0.snapshot));
         assert_eq!(session.last_snapshot(), r1.snapshot.as_slice());
+    }
+
+    #[test]
+    fn restored_session_resumes_with_identical_emissions() {
+        // external ids out of arrival order, so the replayed translation
+        // of the window's last slide is exercised
+        let data: Vec<Object> = (0..200u64)
+            .map(|i| Object::new(1_000 - 3 * i, ((i * 37) % 101) as f64))
+            .collect();
+        for cut in [0, 4, 10, 27, 60, 133] {
+            let mut live = Session::new(Toy::new(20, 3, 5));
+            live.push(&data[..cut]);
+            let mut enc = Encoder::new();
+            live.encode_checkpoint_body(&mut enc);
+            let payload = enc.into_payload();
+            let mut dec = Decoder::new(&payload);
+            let mut restored =
+                Session::decode_checkpoint_body(Toy::new(20, 3, 5), &mut dec).unwrap();
+            dec.finish().unwrap();
+            assert_eq!(restored.slides(), live.slides(), "cut {cut}");
+            assert_eq!(restored.pending(), live.pending(), "cut {cut}");
+            assert_eq!(restored.last_snapshot(), live.last_snapshot(), "cut {cut}");
+            for chunk in data[cut..].chunks(7) {
+                assert_eq!(restored.push(chunk), live.push(chunk), "cut {cut}");
+            }
+        }
     }
 
     #[test]

@@ -175,7 +175,8 @@ pub trait SlidingTopK: crate::checkpoint::CheckpointState {
     /// `false` is a *guarantee* of no change, letting delta consumers emit
     /// [`TopKEvent::Unchanged`](crate::events::TopKEvent::Unchanged) in
     /// `O(1)`; `true` (the conservative default) merely permits a change —
-    /// the session layer then diffs the snapshots in `O(k)`. SAP overrides
+    /// the session layer then diffs the snapshots in one `O(k)` walk plus
+    /// `O(m log m)` for the `m` objects it could not pair. SAP overrides
     /// this from its `dirty` tracking; the paper reports results only
     /// "when they are changed" (§4.1), and this hook surfaces that
     /// machinery to the public API.

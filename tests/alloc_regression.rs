@@ -20,26 +20,100 @@
 //! Gated to release builds: `cargo test` (debug) reports them as
 //! ignored; the CI release matrix and bench-smoke run them for real.
 //! Allocation counts here are deterministic — the workloads are seeded
-//! and single-threaded — but the counter is process-global, so every
-//! test serializes on one lock.
+//! and single-threaded — but the test harness allocates on its own
+//! threads (spawning the next test, capturing output) while a measured
+//! region runs. So the allocator counts only **enrolled** threads: the
+//! thread inside [`measured`], and the worker threads of an `AsyncHub`
+//! built with an [`Enrolling`] scheduler, whose every pick enrolls the
+//! worker that makes it. Measured regions still serialize on one lock,
+//! which a failed test does not poison for the others.
 
-use std::sync::Mutex;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use sap::prelude::*;
 use sap_bench::CountingAlloc;
 
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc::new();
+thread_local! {
+    /// Whether this thread's allocations reach the counter.
+    static ENROLLED: Cell<bool> = const { Cell::new(false) };
+}
 
-/// Serializes measured regions: the counter is process-global and the
-/// test harness runs tests on multiple threads.
+fn enrolled() -> bool {
+    ENROLLED.try_with(Cell::get).unwrap_or(false)
+}
+
+fn enroll(on: bool) {
+    ENROLLED.with(|e| e.set(on));
+}
+
+/// A [`CountingAlloc`] that sees only enrolled threads; every other
+/// thread allocates straight from [`System`].
+struct EnrolledAlloc(CountingAlloc);
+
+unsafe impl GlobalAlloc for EnrolledAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if enrolled() {
+            self.0.alloc(layout)
+        } else {
+            System.alloc(layout)
+        }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        if enrolled() {
+            self.0.alloc_zeroed(layout)
+        } else {
+            System.alloc_zeroed(layout)
+        }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if enrolled() {
+            self.0.realloc(ptr, layout, new_size)
+        } else {
+            System.realloc(ptr, layout, new_size)
+        }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOC: EnrolledAlloc = EnrolledAlloc(CountingAlloc::new());
+
+/// Serializes measured regions: the test harness runs tests on multiple
+/// threads. A failed test panics while holding it; the next test takes
+/// the lock regardless, since the guarded state is only the counter.
 static LOCK: Mutex<()> = Mutex::new(());
 
-/// Runs `f` and returns (result, allocations performed).
+fn serial() -> MutexGuard<'static, ()> {
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs `f` with the calling thread enrolled and returns (result,
+/// allocations performed by it and by any enrolled worker meanwhile).
 fn measured<R>(f: impl FnOnce() -> R) -> (R, u64) {
-    let before = ALLOC.allocations();
+    let before = ALLOC.0.allocations();
+    enroll(true);
     let result = f();
-    (result, ALLOC.allocations() - before)
+    enroll(false);
+    (result, ALLOC.0.allocations() - before)
+}
+
+/// Wraps a [`Scheduler`] so that every worker that picks a shard is
+/// enrolled for the rest of its life: an `AsyncHub`'s allocations on its
+/// workers count toward the measured region they fall in.
+struct Enrolling<S>(S);
+
+impl<S: Scheduler> Scheduler for Enrolling<S> {
+    fn pick(&mut self, worker: usize, ready: &[usize]) -> usize {
+        enroll(true);
+        self.0.pick(worker, ready)
+    }
 }
 
 /// Deterministic score stream (LCG), scores in [0, 1000).
@@ -56,7 +130,7 @@ fn score(i: u64) -> f64 {
     ignore = "allocation bounds are pinned for release builds"
 )]
 fn warm_count_session_buffering_push_is_allocation_free() {
-    let _guard = LOCK.lock().unwrap();
+    let _guard = serial();
     let mut session = Query::window(400).top(2).slide(10).session().unwrap();
     // warm-up: several full windows so partitions have sealed, expired,
     // and been reclaimed into the spare pools
@@ -77,7 +151,7 @@ fn warm_count_session_buffering_push_is_allocation_free() {
     ignore = "allocation bounds are pinned for release builds"
 )]
 fn warm_count_session_steady_state_stays_under_pinned_bound() {
-    let _guard = LOCK.lock().unwrap();
+    let _guard = serial();
     // MinTopK's steady state is fully pooled, so the bound is exact:
     // at most one allocation (the Arc snapshot) per *changed* slide
     let mut session = Query::window(400)
@@ -138,8 +212,70 @@ fn warm_count_session_steady_state_stays_under_pinned_bound() {
     debug_assertions,
     ignore = "allocation bounds are pinned for release builds"
 )]
+fn warm_k500_session_changed_slide_pays_only_its_arc() {
+    let _guard = serial();
+    // A large k with small churn per slide: the delta diff walks 500
+    // objects to find a few changes. Its candidate buffers are pooled in
+    // the session's scratch, so after warm-up a changed slide pays the
+    // one `Arc` snapshot on top of whatever its engine allocates. At
+    // k = 500 the engine does allocate, so the same engine is first
+    // driven bare over the same slides and its count subtracted (the
+    // session hands its engine the identical objects: ids here already
+    // are arrival ordinals).
+    let query = Query::window(5_000)
+        .top(500)
+        .slide(10)
+        .algorithm(AlgorithmKind::MinTopK);
+    let stream: Vec<Object> = (0..30_000u64).map(|i| Object::new(i, score(i))).collect();
+    let (warm, run) = stream.split_at(20_000);
+
+    let mut engine = query.build().unwrap();
+    for slide in warm.chunks(10) {
+        engine.slide(slide);
+    }
+    let (_, engine_allocs) = measured(|| {
+        for slide in run.chunks(10) {
+            engine.slide(slide);
+        }
+    });
+
+    let mut session = query.session().unwrap();
+    for o in warm {
+        session.push_one(*o);
+    }
+    let mut churn = 0usize;
+    let (changed, allocs) = measured(|| {
+        let mut changed = 0u64;
+        for o in run {
+            if let Some(result) = session.push_one(*o) {
+                if result.changed() {
+                    changed += 1;
+                    churn = churn.max(result.events.len());
+                }
+            }
+        }
+        changed
+    });
+    assert!(changed > 100, "workload must exercise changed slides");
+    assert!(
+        churn <= EventList::INLINE,
+        "small churn: at most {churn} events on a changed slide"
+    );
+    assert!(
+        allocs <= engine_allocs + changed,
+        "k = 500 steady state: {allocs} allocations ({engine_allocs} of them \
+         the engine's) for {changed} changed slides (pinned bound: the \
+         engine's plus ≤ 1 per changed slide)"
+    );
+}
+
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "allocation bounds are pinned for release builds"
+)]
 fn warm_timed_session_steady_state_stays_under_pinned_bound() {
-    let _guard = LOCK.lock().unwrap();
+    let _guard = serial();
     let mut session = Query::window_duration(400)
         .slide_duration(100)
         .top(3)
@@ -186,7 +322,7 @@ fn warm_timed_session_steady_state_stays_under_pinned_bound() {
     ignore = "allocation bounds are pinned for release builds"
 )]
 fn warm_hub_publish_without_slides_is_allocation_free() {
-    let _guard = LOCK.lock().unwrap();
+    let _guard = serial();
     let mut hub = Hub::new();
     let mut ids = Vec::new();
     for q in 0..50u64 {
@@ -231,7 +367,7 @@ fn warm_hub_publish_without_slides_is_allocation_free() {
     ignore = "allocation bounds are pinned for release builds"
 )]
 fn warm_grouped_hub_publish_meets_the_isolated_pinned_bounds() {
-    let _guard = LOCK.lock().unwrap();
+    let _guard = serial();
     // The shared count plane must not regress the zero-allocation
     // steady state: the group ring, the group digest producer, and every
     // member's reduced-engine scratch are pooled after warm-up, so a
@@ -296,7 +432,7 @@ fn warm_grouped_hub_publish_meets_the_isolated_pinned_bounds() {
     ignore = "allocation bounds are pinned for release builds"
 )]
 fn classed_quiet_slide_close_is_allocation_free_per_member() {
-    let _guard = LOCK.lock().unwrap();
+    let _guard = serial();
     // The result-class floor: a quiet slide close (top-k unchanged) on a
     // warm class touches the heap **zero** times per member — the class
     // re-emits the previous `Arc` snapshot and its inline `[Unchanged]`
@@ -358,7 +494,7 @@ fn classed_quiet_slide_close_is_allocation_free_per_member() {
     ignore = "allocation bounds are pinned for release builds"
 )]
 fn warm_async_hub_quiet_publish_is_allocation_free() {
-    let _guard = LOCK.lock().unwrap();
+    let _guard = serial();
     // The async hub's quiet publish is a single lock crossing that
     // enqueues a pooled `Arc` batch on every non-empty shard: after
     // warm-up (pool slots filled at this batch length, target scratch
@@ -366,7 +502,7 @@ fn warm_async_hub_quiet_publish_is_allocation_free() {
     // touch the heap at all. The flush barrier before each measured
     // publish settles the pool refcounts, so the measurement is
     // deterministic despite the worker threads.
-    let mut hub = AsyncHub::new(8, 2);
+    let mut hub = AsyncHub::with_scheduler(8, 2, Box::new(Enrolling(FifoScheduler)));
     for q in 0..50u64 {
         let k = 1 + (q as usize % 3);
         hub.register(&Query::window(200).top(k).slide(100)).unwrap();
@@ -444,13 +580,13 @@ impl SlidingTopK for Sleepy {
     ignore = "allocation bounds are pinned for release builds"
 )]
 fn async_park_wake_cycle_stays_under_constant_bound() {
-    let _guard = LOCK.lock().unwrap();
+    let _guard = serial();
     // Backpressure parking is a condvar wait plus one relaxed counter
     // tick: the cycle itself must stay O(1) allocations per publish no
     // matter how often the publisher parks. A deliberately slow engine
     // behind a capacity-1 queue forces a park on essentially every
     // measured publish.
-    let mut hub = AsyncHub::with_config(1, 1, 1, Box::new(FifoScheduler));
+    let mut hub = AsyncHub::with_config(1, 1, 1, Box::new(Enrolling(FifoScheduler)));
     for _ in 0..4 {
         hub.register_alg(Sleepy {
             spec: WindowSpec::new(4, 1, 4).unwrap(),
@@ -491,7 +627,7 @@ fn async_park_wake_cycle_stays_under_constant_bound() {
     ignore = "allocation bounds are pinned for release builds"
 )]
 fn predicate_rejected_publish_is_allocation_free() {
-    let _guard = LOCK.lock().unwrap();
+    let _guard = serial();
     // The admission plane's cheapest path: an object that misses every
     // group's predicate only advances the ring and the ordinal clock —
     // no digest ingest, no member work, no heap. After warm-up (ring at
@@ -550,7 +686,7 @@ fn predicate_rejected_publish_is_allocation_free() {
     ignore = "allocation bounds are pinned for release builds"
 )]
 fn dominance_pruned_quiet_path_meets_the_classed_pinned_bounds() {
-    let _guard = LOCK.lock().unwrap();
+    let _guard = serial();
     // The dominance gate's steady state must ride the same ceilings the
     // result-class plane pinned (PR 5): a quiet classed close with most
     // of the slide pruned pays the output Vec and nothing else, and a
@@ -632,7 +768,7 @@ fn dominance_pruned_quiet_path_meets_the_classed_pinned_bounds() {
     ignore = "allocation bounds are pinned for release builds"
 )]
 fn checkpoint_leaves_the_warm_publish_path_allocation_free() {
-    let _guard = LOCK.lock().unwrap();
+    let _guard = serial();
     // A checkpoint is a read-only borrow of serving state: taking one on a
     // warm hub must not disturb the pooled scratch or retained hints, so
     // the very next buffering publish is still allocation-free and the
