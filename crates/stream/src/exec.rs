@@ -510,14 +510,19 @@ fn worker_loop(reactor: Arc<Reactor>, worker: usize) {
     // per-worker scratch, reused across wakeups (no steady-state allocs).
     // `batch` is a deque so the application loop below can pop from the
     // front in O(1) while leaving unapplied commands alive across a
-    // panic's unwind.
+    // panic's unwind. It holds at most one queue's worth of commands
+    // (the group-aware burst below can run past COMMANDS_PER_WAKEUP up
+    // to the queue bound), and `ready` at most one entry per slot — both
+    // are sized for that up front, and `ready` again whenever a resize
+    // grows the slot vector, so no wakeup ever grows them.
     let mut ready: Vec<usize> = Vec::new();
-    let mut batch: VecDeque<Command> = VecDeque::with_capacity(COMMANDS_PER_WAKEUP);
+    let mut batch: VecDeque<Command> = VecDeque::with_capacity(reactor.capacity);
     loop {
         let (shard, mut core) = {
             let mut state = reactor.state();
             loop {
                 ready.clear();
+                ready.reserve(state.slots.len());
                 ready.extend(
                     state
                         .slots

@@ -7,10 +7,11 @@
 //!
 //! * a [`Predicate`] — a hand-rolled attribute filter a query attaches
 //!   with [`Query::filter`](crate::query::Query): score range plus
-//!   external-id key/tag match. Groups are keyed by predicate, so a
-//!   group whose predicate rejects an object skips it in O(1) at the
-//!   publish fan-out; predicate-disjoint members of one geometry class
-//!   split into sub-groups.
+//!   external-id key/tag match. Groups are keyed by predicate, and a
+//!   `PredicateIndex` (crate-private) routes each published object only
+//!   to the groups whose key or tag clause it matches, so a group whose
+//!   predicate rejects it by key or tag never sees it; predicate-disjoint
+//!   members of one geometry class split into sub-groups.
 //! * a `PruneGate` (crate-private) — the k-skyband dominance criterion generalized to
 //!   shared groups: an object already dominated by ≥ `k_max`
 //!   newer-or-equal admitted objects of the **open slide** can never
@@ -378,9 +379,186 @@ impl PruneGate {
     }
 }
 
+/// The publish-time dispatch index over a registry's group predicates:
+/// [`route`](PredicateIndex::route) lists, per group, the batch
+/// positions its predicate accepts, reaching each group through its
+/// most selective id clause — `key` groups by key, `tag` groups by
+/// `(modulus, residue)`, score-only groups by a scan — so an object
+/// costs nothing at a group whose key or tag rejects it. Pass-all groups
+/// accept every position without being routed at all.
+///
+/// Groups are addressed by **slot**, their position in the sequence
+/// [`rebuild`](PredicateIndex::rebuild) was given. The index is derived
+/// state: the owner marks it stale whenever its group set changes and
+/// rebuilds it before the next route.
+#[derive(Debug, Default)]
+pub(crate) struct PredicateIndex {
+    /// Each slot's predicate — the full check after the index narrowed
+    /// the candidates by one clause.
+    predicates: Vec<Predicate>,
+    /// Slots with score clauses only.
+    scored: Vec<u32>,
+    /// `(key, slot)` of the slots with a key clause, ascending.
+    by_key: Vec<(u64, u32)>,
+    /// Per tag modulus, `(residue, slot)` of the slots with a tag clause
+    /// and no key clause, ascending.
+    by_tag: Vec<(u64, Vec<(u64, u32)>)>,
+    /// Per slot, the positions of the last routed batch it accepts.
+    hits: Vec<Vec<u32>>,
+    /// `0..` at least the last batch's length — what a pass-all slot
+    /// accepts.
+    every: Vec<u32>,
+    batch_len: usize,
+    stale: bool,
+}
+
+impl PredicateIndex {
+    /// Flags the index for a rebuild (the group set changed).
+    pub(crate) fn mark_stale(&mut self) {
+        self.stale = true;
+    }
+
+    pub(crate) fn is_stale(&self) -> bool {
+        self.stale
+    }
+
+    /// Re-indexes the groups: the `i`-th predicate gets slot `i`.
+    pub(crate) fn rebuild(&mut self, predicates: impl IntoIterator<Item = Predicate>) {
+        self.predicates.clear();
+        self.predicates.extend(predicates);
+        self.scored.clear();
+        self.by_key.clear();
+        self.by_tag.clear();
+        for (slot, p) in self.predicates.iter().enumerate() {
+            let slot = slot as u32;
+            match (p.key, p.tag) {
+                (Some(key), _) => self.by_key.push((key, slot)),
+                (None, Some((modulus, residue))) => {
+                    match self.by_tag.iter_mut().find(|(m, _)| *m == modulus) {
+                        Some((_, residues)) => residues.push((residue, slot)),
+                        None => self.by_tag.push((modulus, vec![(residue, slot)])),
+                    }
+                }
+                (None, None) if !p.is_pass_all() => self.scored.push(slot),
+                (None, None) => {}
+            }
+        }
+        self.by_key.sort_unstable();
+        for (_, residues) in &mut self.by_tag {
+            residues.sort_unstable();
+        }
+        self.hits.resize_with(self.predicates.len(), Vec::new);
+        self.stale = false;
+    }
+
+    /// Routes one batch, given as `(id, score)` per position: afterwards
+    /// [`accepted`](PredicateIndex::accepted) lists each slot's accepted
+    /// positions in ascending order. Allocation-free once the per-slot
+    /// lists have grown to the batch shape.
+    pub(crate) fn route(&mut self, batch: impl ExactSizeIterator<Item = (u64, f64)>) {
+        debug_assert!(!self.stale, "route through a stale index");
+        let PredicateIndex {
+            predicates,
+            scored,
+            by_key,
+            by_tag,
+            hits,
+            every,
+            batch_len,
+            ..
+        } = self;
+        *batch_len = batch.len();
+        if every.len() < *batch_len {
+            every.extend(every.len() as u32..*batch_len as u32);
+        }
+        if scored.is_empty() && by_key.is_empty() && by_tag.is_empty() {
+            // every slot is pass-all: nothing to route
+            return;
+        }
+        for list in hits.iter_mut() {
+            list.clear();
+        }
+        let mut offer = |slot: u32, pos: u32, id: u64, score: f64| {
+            if predicates[slot as usize].accepts_parts(id, score) {
+                hits[slot as usize].push(pos);
+            }
+        };
+        for (pos, (id, score)) in batch.enumerate() {
+            let pos = pos as u32;
+            for &slot in scored.iter() {
+                offer(slot, pos, id, score);
+            }
+            for &(_, slot) in equal_range(by_key, id) {
+                offer(slot, pos, id, score);
+            }
+            for (modulus, residues) in by_tag.iter() {
+                for &(_, slot) in equal_range(residues, id % modulus) {
+                    offer(slot, pos, id, score);
+                }
+            }
+        }
+    }
+
+    /// The positions of the last routed batch that `slot`'s predicate
+    /// accepts, ascending.
+    pub(crate) fn accepted(&self, slot: usize) -> &[u32] {
+        if self.predicates[slot].is_pass_all() {
+            &self.every[..self.batch_len]
+        } else {
+            &self.hits[slot]
+        }
+    }
+}
+
+/// The entries of an ascending `(value, slot)` list whose value is
+/// `value`.
+fn equal_range(sorted: &[(u64, u32)], value: u64) -> &[(u64, u32)] {
+    let lo = sorted.partition_point(|(v, _)| *v < value);
+    let hi = lo + sorted[lo..].partition_point(|(v, _)| *v == value);
+    &sorted[lo..hi]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn index_routes_each_position_to_exactly_the_accepting_slots() {
+        let predicates = [
+            Predicate::any(),
+            Predicate::any().tag(4, 1),
+            Predicate::any().tag(4, 1).score_at_least(5.0),
+            Predicate::any().tag(3, 0),
+            Predicate::any().key(9),
+            Predicate::any().key(9).tag(4, 2),
+            Predicate::any().score_at_most(3.0),
+        ];
+        let mut index = PredicateIndex::default();
+        index.mark_stale();
+        assert!(index.is_stale());
+        index.rebuild(predicates);
+        assert!(!index.is_stale());
+        let batch: Vec<(u64, f64)> = (0..24u64).map(|id| (id, (id % 7) as f64)).collect();
+        index.route(batch.iter().copied());
+        for (slot, p) in predicates.iter().enumerate() {
+            let expect: Vec<u32> = batch
+                .iter()
+                .enumerate()
+                .filter(|(_, &(id, score))| p.accepts(&Object::new(id, score)))
+                .map(|(pos, _)| pos as u32)
+                .collect();
+            assert_eq!(index.accepted(slot), expect.as_slice(), "slot {slot}");
+        }
+        // a shorter batch leaves no stale positions behind
+        index.route([(9, 4.0)].into_iter());
+        assert_eq!(index.accepted(0), &[0]);
+        assert_eq!(index.accepted(4), &[0]);
+        assert_eq!(index.accepted(1), &[0], "9 % 4 == 1");
+        assert!(index.accepted(2).is_empty(), "score below 5");
+        assert_eq!(index.accepted(3), &[0], "9 % 3 == 0");
+        assert!(index.accepted(6).is_empty(), "score above 3");
+        assert!(index.accepted(5).is_empty(), "9 % 4 != 2");
+    }
 
     #[test]
     fn default_predicate_passes_everything() {

@@ -17,8 +17,9 @@
 //! member of a group closes slides at identical watermarks, so the group
 //! owns one [`DigestProducer`] (at `k_max` = the largest member `k`,
 //! grown on registration) and each published object is ingested **once
-//! per group** instead of once per query. Closed digests fan out to the
-//! members, each slicing its own `k` prefix.
+//! per group whose predicate accepts it** instead of once per query.
+//! Closed digests fan out to the members, each slicing its own `k`
+//! prefix.
 //!
 //! A member registering mid-stream must only observe objects published
 //! after its registration (exactly like an isolated session). Until the
@@ -40,11 +41,12 @@
 //! owns one [`DigestProducer`] driven by the group's arrival ordinals
 //! (each ordinal doubling as the synthetic timestamp, so slides close
 //! exactly every `s` arrivals) plus one ring of the last `n_max + s`
-//! external ids. Each published object is ingested **once per group**;
-//! when a slide fills, the group truncates it once at `k_max` and every
-//! member slices its `(n, k)` view through its private [`SharedTimed`]
-//! reduction — byte-identical to an isolated session, O(groups) instead
-//! of O(queries) per object.
+//! external ids. Each published object is ingested **once per group**
+//! (ring) and reaches the producer only in groups whose predicate
+//! accepts it; when a slide fills, the group truncates it once at
+//! `k_max` and every member slices its `(n, k)` view through its
+//! private [`SharedTimed`] reduction — byte-identical to an isolated
+//! session, with no per-query work per object.
 //!
 //! Registration phase is the known blocker for grouping count queries
 //! (equal-`s` sessions generally differ by offset), and the join rule
@@ -63,18 +65,18 @@
 //!
 //! ## Result classes
 //!
-//! Grouping makes *ingest* O(groups), but every slide close still walked
-//! every member, re-running an identical reduction and diff for members
-//! with the same view. The second tier collapses that per-member floor:
-//! within each count group, members are partitioned into **result
-//! classes** keyed by `(n, k, join_slide)` — a member's emissions are a
-//! pure function of the group's stream and that key, so one class
-//! computes byte-identical snapshots for all its members. The class owns
-//! the one [`SharedTimed`] consumer the members share; a slide close runs
-//! the reduction, the ordinal → external-id translation, and the delta
-//! diff **once per class**, and each member emission is two refcount
-//! bumps plus an inline event copy (zero heap allocations on a quiet
-//! slide). The shared timed plane classes the same way by `(wd, k)` for
+//! Grouping makes *ingest* per group, not per query, but every slide
+//! close still walked every member, re-running an identical reduction
+//! and diff for members with the same view. The second tier collapses
+//! that per-member floor: within each count group, members are
+//! partitioned into **result classes** keyed by `(n, k, join_slide)` —
+//! a member's emissions are a pure function of the group's stream and
+//! that key, so one class computes byte-identical snapshots for all its
+//! members. The class owns the one [`SharedTimed`] consumer the members
+//! share; a slide close runs the reduction, the ordinal → external-id
+//! translation, and the delta diff **once per class**, and each member
+//! emission is two refcount bumps plus an inline event copy (zero heap
+//! allocations on a quiet slide). The shared timed plane classes the same way by `(wd, k)` for
 //! members that joined a pristine group; mid-stream joiners warm up solo
 //! and stay solo after promotion (their class membership is not provable
 //! until their partial join slide has left the window). Emissions served
@@ -83,6 +85,37 @@
 //! member state, so checkpoints carry no class section and restore
 //! rebuilds them — with every byte of the checkpoint identical to the
 //! pre-class encoding.
+//!
+//! ## Publish cost
+//!
+//! `publish`, `publish_timed` and `advance_time` cost O(individually
+//! served sessions + predicate-matching groups + emitted updates), not
+//! O(sessions + groups × objects):
+//!
+//! * **The walk serves only what it must.** A derived, ascending list of
+//!   store positions names the sessions served one by one — isolated
+//!   count and timed sessions and unclassed shared members (warming up,
+//!   or promoted solo). Classed and grouped members are reached through
+//!   their class, never walked. Warm-up promotion happens in that walk,
+//!   right after the member is served: every group's producer has
+//!   absorbed the whole call by then.
+//! * **Groups are reached through a predicate index.** Each batch is
+//!   routed once through a [`PredicateIndex`] per plane — pass-all
+//!   groups take every object, score-only groups are scanned, `key`
+//!   groups are found by key and `tag` groups by `(modulus, residue)` —
+//!   so an object costs nothing at a group whose key or tag rejects it.
+//!   A slide group advances its clock only before an accepted object, to
+//!   the batch's prefix-maximum timestamp, and once more at the batch
+//!   end; count groups extend their ring by one id slice per segment
+//!   between slide closes. Both close exactly the slides, in the same
+//!   order, that object-at-a-time ingest closes — batch size is
+//!   invisible in the output.
+//! * **Members are reached directly.** A class keeps each member's
+//!   cached position in the session store, checked on use and re-found
+//!   by binary search only after the store shifted.
+//!
+//! All of this state is derived — rebuilt on membership changes, never
+//! checkpointed.
 //!
 //! [`Hub`]: crate::session::Hub
 //! [`AsyncHub`]: crate::exec::AsyncHub
@@ -93,7 +126,7 @@ use crate::checkpoint::{tags, CheckpointError, Decoder, Encoder};
 use crate::digest::{DigestProducer, DigestRef, DigestView, SharedTimed};
 use crate::events::{EventList, SlideResult, Snapshot};
 use crate::object::{Object, TimedObject};
-use crate::predicate::{Predicate, PruneGate};
+use crate::predicate::{Predicate, PredicateIndex, PruneGate};
 use crate::query::{SapError, TimedSpec};
 use crate::session::{
     close_staged, AnySession, GroupedSession, QueryId, QueryUpdate, Session, SharedSession,
@@ -339,6 +372,8 @@ struct DigestGroup<C: SlidingTopK> {
     /// Warming-up and promoted-solo members are served individually and
     /// appear in no class.
     classes: Vec<SharedClass<C>>,
+    /// The group's slot in the registry's digest [`PredicateIndex`].
+    slot: usize,
 }
 
 /// One **result class** of a slide group: every member with this
@@ -352,8 +387,7 @@ struct SharedClass<C: SlidingTopK> {
     /// The one consumer serving every member (members' own `consumer`
     /// fields are `None` while classed).
     consumer: SharedTimed<C>,
-    /// Member query ids, ascending.
-    members: Vec<QueryId>,
+    members: Members,
     /// The class's previous emission — byte-equal to every member's by
     /// construction, so the class-level diff is valid for all of them.
     prev: Snapshot,
@@ -364,12 +398,12 @@ struct SharedClass<C: SlidingTopK> {
 }
 
 impl<C: SlidingTopK> SharedClass<C> {
-    fn new(consumer: SharedTimed<C>, member: QueryId, prev: Snapshot) -> Self {
+    fn new(consumer: SharedTimed<C>, members: Members, prev: Snapshot) -> Self {
         SharedClass {
             wd: consumer.window_duration(),
             k: consumer.k(),
             consumer,
-            members: vec![member],
+            members,
             prev,
             scratch: SlideScratch::new(),
             events: EventList::new(),
@@ -425,6 +459,8 @@ struct CountGroup<C: SlidingTopK> {
     /// join_slide)` — every member appears in exactly one class, and a
     /// slide close runs one reduction + diff per class, not per member.
     classes: Vec<CountClass<C>>,
+    /// The group's slot in the registry's count [`PredicateIndex`].
+    slot: usize,
 }
 
 impl<C: SlidingTopK> CountGroup<C> {
@@ -449,8 +485,7 @@ struct CountClass<C: SlidingTopK> {
     join_slide: u64,
     /// The one consumer serving every member.
     consumer: SharedTimed<C>,
-    /// Member query ids, ascending.
-    members: Vec<QueryId>,
+    members: Members,
     /// The class's previous emission (byte-equal to every member's).
     prev: Snapshot,
     scratch: SlideScratch,
@@ -464,7 +499,7 @@ impl<C: SlidingTopK> CountClass<C> {
         spec: WindowSpec,
         join_slide: u64,
         consumer: SharedTimed<C>,
-        member: QueryId,
+        members: Members,
         prev: Snapshot,
     ) -> Self {
         CountClass {
@@ -472,7 +507,7 @@ impl<C: SlidingTopK> CountClass<C> {
             k: spec.k,
             join_slide,
             consumer,
-            members: vec![member],
+            members,
             prev,
             scratch: SlideScratch::new(),
             events: EventList::new(),
@@ -492,6 +527,116 @@ impl<C: SlidingTopK> CountClass<C> {
                 .map(|o| Object::new(ring[(o.id - ring_base) as usize], o.score)),
         );
         close_staged(&mut self.prev, &mut self.scratch, &mut self.events)
+    }
+}
+
+/// A result class's members: query ids, ascending, each paired with the
+/// position in [`Registry::sessions`] it was last found at. Serving
+/// checks the id stored at the cached position and re-finds the
+/// position by binary search only on a miss (a registration or removal
+/// below it shifted the store), so a class close reaches each member
+/// directly instead of searching the whole store per emission.
+#[derive(Debug)]
+struct Members(Vec<(QueryId, usize)>);
+
+impl Members {
+    fn one(id: QueryId, pos: usize) -> Self {
+        Members(vec![(id, pos)])
+    }
+
+    /// Appends a member above every current id (ids are handed out
+    /// monotonically) at its known store position.
+    fn push(&mut self, id: QueryId, pos: usize) {
+        debug_assert!(self.0.last().is_none_or(|(m, _)| *m < id));
+        self.0.push((id, pos));
+    }
+
+    /// Inserts a member at its ascending place; its store position is
+    /// found on first use.
+    fn insert(&mut self, id: QueryId) {
+        let at = self.0.partition_point(|(m, _)| *m < id);
+        self.0.insert(at, (id, usize::MAX));
+    }
+
+    fn remove(&mut self, id: QueryId) {
+        if let Ok(at) = self.0.binary_search_by_key(&id, |(m, _)| *m) {
+            self.0.remove(at);
+        }
+    }
+
+    fn contains(&self, id: QueryId) -> bool {
+        self.0.binary_search_by_key(&id, |(m, _)| *m).is_ok()
+    }
+
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The lowest member id — the class's representative.
+    fn first(&self) -> QueryId {
+        self.0[0].0
+    }
+
+    fn ids(&self) -> impl Iterator<Item = QueryId> + '_ {
+        self.0.iter().map(|(id, _)| *id)
+    }
+
+    /// The store position of the `i`-th member, refreshing the cached
+    /// position on a miss.
+    fn locate<S>(&mut self, i: usize, sessions: &[(QueryId, S)]) -> usize {
+        let (id, pos) = &mut self.0[i];
+        if sessions.get(*pos).is_none_or(|(have, _)| have != id) {
+            *pos = sessions
+                .binary_search_by_key(id, |(have, _)| *have)
+                .expect("class member ids name registered sessions");
+        }
+        *pos
+    }
+}
+
+/// The registry's running counters — the sharing and admission counts
+/// `stats()` reports (see the same-named [`HubStats`] fields) — kept
+/// together so the serving paths take them as one argument.
+#[derive(Debug, Default)]
+struct Tally {
+    digest_hits: u64,
+    digest_rebuilds: u64,
+    count_group_hits: u64,
+    count_group_rebuilds: u64,
+    /// Persisted since checkpoint v3.
+    admitted: u64,
+    pruned: u64,
+    /// Not persisted (the checkpoint counter section predates it), so it
+    /// resets on restore and resize.
+    class_hits: u64,
+    /// Sessions the publish paths served one by one.
+    #[cfg(test)]
+    sessions_visited: u64,
+    /// `(object, group)` pairs group ingest processed past the
+    /// predicate dispatch.
+    #[cfg(test)]
+    group_objects: u64,
+}
+
+impl Tally {
+    #[inline]
+    fn visit_session(&mut self) {
+        #[cfg(test)]
+        {
+            self.sessions_visited += 1;
+        }
+    }
+
+    #[inline]
+    fn visit_group_object(&mut self) {
+        #[cfg(test)]
+        {
+            self.group_objects += 1;
+        }
     }
 }
 
@@ -540,28 +685,24 @@ pub(crate) struct Registry<C: SlidingTopK, T: TimedTopK> {
     /// Next live count-group id. Monotonic per registry lifetime; never
     /// reused, so a stale handle can't alias a newer group.
     next_count_gid: u64,
-    /// Isolated count sessions currently registered — lets the publish
-    /// paths skip the O(queries) session walk entirely when every
-    /// count-based query is grouped (the million-query regime).
-    isolated_counts: usize,
-    digest_hits: u64,
-    digest_rebuilds: u64,
-    count_group_hits: u64,
-    count_group_rebuilds: u64,
-    /// Objects admitted into a sharing-plane producer — see
-    /// [`HubStats::admitted`]. Persisted since checkpoint v3.
-    admitted: u64,
-    /// Objects the dominance gate skipped — see [`HubStats::pruned`].
-    pruned: u64,
+    /// Positions in `sessions` of the sessions the publish paths serve
+    /// one by one — isolated count, isolated timed, and unclassed shared
+    /// (warming-up or promoted-solo) sessions — ascending, so the walk
+    /// emits in registration order. Classed and grouped members are
+    /// served per class and never walked. Derived; kept in step with
+    /// every insertion into and removal from `sessions`.
+    served: Vec<usize>,
+    /// Dispatch index over the slide groups' predicates (slot =
+    /// `DigestGroup::slot`); marked stale whenever `groups` changes.
+    digest_index: PredicateIndex,
+    /// Dispatch index over the count groups' predicates (slot =
+    /// `CountGroup::slot`); marked stale whenever `count_groups` changes.
+    count_index: PredicateIndex,
+    tally: Tally,
     /// Whether ingest consults the k-skyband dominance gate (default).
     /// Off, every predicate-passing object is admitted — the reference
     /// arm, under which `pruned` never ticks.
     admission_pruning: bool,
-    /// Member emissions served from a class computation beyond the
-    /// computing member — see [`HubStats::class_hits`]. Not persisted
-    /// (the checkpoint counter section predates it), so it resets on
-    /// restore and resize.
-    class_hits: u64,
     /// Whether registration may pool view-equivalent members into shared
     /// result classes (default). Disabled, every grouped registration
     /// founds a solo class and every shared registration stays solo —
@@ -571,6 +712,9 @@ pub(crate) struct Registry<C: SlidingTopK, T: TimedTopK> {
     class_sharing: bool,
     /// Pooled untimed view of a timed batch (for count-based sessions).
     plain_buf: Vec<Object>,
+    /// Pooled running maximum of a timed batch's timestamps — the event
+    /// time a slide group has reached at each batch position.
+    prefix_max: Vec<u64>,
     /// Recent high-water mark of updates per publish call — the capacity
     /// the next returned `Vec<QueryUpdate>` is pre-sized to once its
     /// first result arrives, so steady-state publishes reallocate the
@@ -595,17 +739,14 @@ impl<C: SlidingTopK, T: TimedTopK> Default for Registry<C, T> {
             groups: HashMap::new(),
             count_groups: HashMap::new(),
             next_count_gid: 0,
-            isolated_counts: 0,
-            digest_hits: 0,
-            digest_rebuilds: 0,
-            count_group_hits: 0,
-            count_group_rebuilds: 0,
-            admitted: 0,
-            pruned: 0,
+            served: Vec::new(),
+            digest_index: PredicateIndex::default(),
+            count_index: PredicateIndex::default(),
+            tally: Tally::default(),
             admission_pruning: true,
-            class_hits: 0,
             class_sharing: true,
             plain_buf: Vec::new(),
+            prefix_max: Vec::new(),
             update_hint: 0,
             shard: None,
         }
@@ -926,10 +1067,55 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         }
     }
 
+    /// Whether the publish paths serve `session` one by one (see
+    /// `Registry::served`).
+    fn walked(session: &AnySession<C, T>) -> bool {
+        match session {
+            AnySession::Count(_) | AnySession::Timed(_) => true,
+            AnySession::Shared(s) => !s.is_classed(),
+            AnySession::Grouped(_) => false,
+        }
+    }
+
+    /// Appends a newly registered session — ids are handed out
+    /// monotonically, so the store stays ascending.
+    fn push_session(&mut self, id: QueryId, session: AnySession<C, T>) {
+        debug_assert!(self.sessions.last().is_none_or(|(have, _)| *have < id));
+        if Self::walked(&session) {
+            self.served.push(self.sessions.len());
+        }
+        self.sessions.push((id, session));
+    }
+
+    /// Inserts a session that already carries live state at its
+    /// ascending-id position, shifting the served positions behind it.
+    fn insert_session(&mut self, id: QueryId, session: AnySession<C, T>) {
+        let pos = self.sessions.partition_point(|(have, _)| *have < id);
+        let at = self.served.partition_point(|&p| p < pos);
+        for p in &mut self.served[at..] {
+            *p += 1;
+        }
+        if Self::walked(&session) {
+            self.served.insert(at, pos);
+        }
+        self.sessions.insert(pos, (id, session));
+    }
+
+    /// Removes the session at store position `pos`, shifting the served
+    /// positions behind it.
+    fn remove_session(&mut self, pos: usize) -> (QueryId, AnySession<C, T>) {
+        let at = self.served.partition_point(|&p| p < pos);
+        if self.served.get(at) == Some(&pos) {
+            self.served.remove(at);
+        }
+        for p in &mut self.served[at..] {
+            *p -= 1;
+        }
+        self.sessions.remove(pos)
+    }
+
     pub(crate) fn register_count(&mut self, id: QueryId, alg: C) {
-        self.isolated_counts += 1;
-        self.sessions
-            .push((id, AnySession::Count(Session::new(alg))));
+        self.push_session(id, AnySession::Count(Session::new(alg)));
     }
 
     /// Registers a count-group member, joining (or founding) the count
@@ -998,11 +1184,15 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                         predicate,
                         gate: PruneGate::new(spec.k),
                         classes: Vec::new(),
+                        slot: 0,
                     },
                 );
+                self.count_index.mark_stale();
                 (gid, 0)
             }
         };
+        // the member's store position once pushed below
+        let pos = self.sessions.len();
         // the member's result class: with pooling on, join the group's
         // class with the exact `(n, k, join_slide)` key — matching keys
         // mean the class is still at its (open) join slide, so the
@@ -1027,8 +1217,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                         0,
                         "a joinable class is at its still-open join slide"
                     );
-                    // ids are monotonic: pushing keeps members ascending
-                    class.members.push(id);
+                    class.members.push(id, pos);
                     true
                 }
                 None => false,
@@ -1038,19 +1227,18 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                 spec,
                 join_slide,
                 consumer,
-                id,
+                Members::one(id, pos),
                 Snapshot::empty(),
             ));
         }
-        self.sessions.push((
+        self.push_session(
             id,
             AnySession::Grouped(GroupedSession::new(engine_name, spec, join_slide, gid)),
-        ));
+        );
     }
 
     pub(crate) fn register_timed(&mut self, id: QueryId, engine: T) {
-        self.sessions
-            .push((id, AnySession::Timed(TimedSession::new(engine))));
+        self.push_session(id, AnySession::Timed(TimedSession::new(engine)));
     }
 
     /// Registers a digest consumer, joining (or founding) the slide group
@@ -1077,16 +1265,18 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         );
         let sd = consumer.slide_duration();
         let k = consumer.k();
-        let group = self
-            .groups
-            .entry((sd, predicate))
-            .or_insert_with(|| DigestGroup {
+        let pos = self.sessions.len();
+        let group = self.groups.entry((sd, predicate)).or_insert_with(|| {
+            self.digest_index.mark_stale();
+            DigestGroup {
                 producer: DigestProducer::new(sd, k),
                 members: 0,
                 predicate,
                 gate: PruneGate::new(k),
                 classes: Vec::new(),
-            });
+                slot: 0,
+            }
+        });
         group.producer.grow_k_max(k);
         // a deeper member may have just widened the gate's cap — rebuild
         // from the admitted open-slide buffer so pruning stays safe
@@ -1124,18 +1314,19 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                         0,
                         "a pristine group's classes have seen nothing"
                     );
-                    // ids are monotonic: pushing keeps members ascending
-                    class.members.push(id);
+                    class.members.push(id, pos);
                 }
-                None => group
-                    .classes
-                    .push(SharedClass::new(consumer, id, Snapshot::empty())),
+                None => group.classes.push(SharedClass::new(
+                    consumer,
+                    Members::one(id, pos),
+                    Snapshot::empty(),
+                )),
             }
             SharedSession::new_classed(spec, engine_name, predicate)
         } else {
             SharedSession::new(consumer, join_slide, predicate)
         };
-        self.sessions.push((id, AnySession::Shared(session)));
+        self.push_session(id, AnySession::Shared(session));
     }
 
     /// Removes a query, handing its session back; `None` for unknown ids.
@@ -1152,10 +1343,10 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// consumer — engines are not `Clone`, and the state keeps serving
     /// the members staying behind.
     pub(crate) fn unregister(&mut self, id: QueryId) -> Option<AnySession<C, T>> {
-        let pos = self.sessions.iter().position(|(q, _)| *q == id)?;
-        let (_, mut session) = self.sessions.remove(pos);
+        let pos = self.sessions.binary_search_by_key(&id, |(q, _)| *q).ok()?;
+        let (_, mut session) = self.remove_session(pos);
         match &mut session {
-            AnySession::Count(_) => self.isolated_counts -= 1,
+            AnySession::Count(_) | AnySession::Timed(_) => {}
             AnySession::Shared(s) => {
                 let key = (s.slide_duration(), s.predicate());
                 if let Some(group) = self.groups.get_mut(&key) {
@@ -1163,15 +1354,10 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                         let ci = group
                             .classes
                             .iter()
-                            .position(|c| c.members.contains(&id))
+                            .position(|c| c.members.contains(id))
                             .expect("a classed member's group holds its class");
                         let class = &mut group.classes[ci];
-                        let mi = class
-                            .members
-                            .iter()
-                            .position(|m| *m == id)
-                            .expect("the class holds its member");
-                        class.members.remove(mi);
+                        class.members.remove(id);
                         if class.members.is_empty() {
                             let class = group.classes.remove(ci);
                             s.adopt_consumer(class.consumer);
@@ -1180,6 +1366,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                     group.members -= 1;
                     if group.members == 0 {
                         self.groups.remove(&key);
+                        self.digest_index.mark_stale();
                     } else if s.timed_spec().k >= group.producer.k_max() {
                         let k_max = self
                             .sessions
@@ -1208,14 +1395,9 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                         group.member_ids.remove(p);
                     }
                     // same class-leave rule as the shared plane
-                    if let Some(ci) = group.classes.iter().position(|c| c.members.contains(&id)) {
+                    if let Some(ci) = group.classes.iter().position(|c| c.members.contains(id)) {
                         let class = &mut group.classes[ci];
-                        let mi = class
-                            .members
-                            .iter()
-                            .position(|m| *m == id)
-                            .expect("the class holds its member");
-                        class.members.remove(mi);
+                        class.members.remove(id);
                         if class.members.is_empty() {
                             let class = group.classes.remove(ci);
                             g.adopt_consumer(class.consumer);
@@ -1223,6 +1405,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                     }
                     if group.member_ids.is_empty() {
                         self.count_groups.remove(&gid);
+                        self.count_index.mark_stale();
                     } else {
                         // recompute the survivors' depth and retention —
                         // exact even mid-slide, the open slide is held
@@ -1242,7 +1425,6 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                     }
                 }
             }
-            AnySession::Timed(_) => {}
         }
         Some(session)
     }
@@ -1263,38 +1445,32 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         }
         let Registry {
             sessions,
+            served,
             count_groups,
-            isolated_counts,
-            count_group_hits,
-            class_hits,
-            count_group_rebuilds,
-            admitted,
-            pruned,
+            count_index,
+            tally,
             admission_pruning,
             update_hint,
             ..
         } = self;
         let mut out = Vec::new();
         let hint = *update_hint;
-        // isolated count sessions pay the O(queries) walk; skipped
-        // entirely when every count query is grouped
-        if *isolated_counts > 0 {
-            for (id, session) in sessions.iter_mut() {
-                if let AnySession::Count(session) = session {
-                    let mut sink = tagged_sink(&mut out, hint, *id);
-                    session.push_each(objects, &mut sink);
-                }
+        // only the individually served sessions are walked; grouped
+        // members are served per class, below
+        for &pos in served.iter() {
+            tally.visit_session();
+            let (id, session) = &mut sessions[pos];
+            if let AnySession::Count(session) = session {
+                session.push_each(objects, &mut tagged_sink(&mut out, hint, *id));
             }
-            *count_group_rebuilds += out.len() as u64;
         }
+        tally.count_group_rebuilds += out.len() as u64;
         let walked = out.len();
         Self::serve_count_groups(
             sessions,
             count_groups,
-            count_group_hits,
-            class_hits,
-            admitted,
-            pruned,
+            count_index,
+            tally,
             *admission_pruning,
             objects,
             &mut out,
@@ -1310,30 +1486,48 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         out
     }
 
-    /// Fans an untimed batch out to every count group: each group
-    /// ingests the batch **once** (one ring push + one pending push per
-    /// object), and a filling slide is truncated once at `k_max` and
-    /// served to the members — immediately, inside the close, so the
-    /// translation ring still covers everything the emission references
-    /// even when one batch spans many slides. Per-object cost is
-    /// O(count groups), not O(grouped queries); the member fan-out is
+    /// Fans an untimed batch out to every count group. The batch is
+    /// routed through the groups' [`PredicateIndex`] once, then each
+    /// group ingests it **segment by segment** between slide closes: the
+    /// segment's ids extend the translation ring as one slice (every
+    /// observed object gets an ordinal, admitted or not), only the
+    /// objects the group's predicate accepts reach its dominance gate
+    /// and producer, and a filling slide is truncated once at `k_max`
+    /// and served to the members — immediately, inside the close, so the
+    /// ring still covers everything the emission references even when
+    /// one batch spans many slides.
+    ///
+    /// Per batch this costs O(count groups) for the segment walk plus
+    /// O(1) per accepted `(object, group)` pair; an object a group's key
+    /// or tag rejects costs that group nothing. The member fan-out is
     /// per *slide*, and within it the reduction + ordinal translation +
     /// diff run once per **result class** ([`CountClass::close`]) — each
-    /// member emission is just a stamp of the class's shared snapshot
-    /// ([`GroupedSession::emit_class`]).
+    /// member emission is a stamp of the class's shared snapshot
+    /// ([`GroupedSession::emit_class`]) on a session reached through its
+    /// cached store position.
     #[allow(clippy::too_many_arguments)]
     fn serve_count_groups(
         sessions: &mut [(QueryId, AnySession<C, T>)],
         count_groups: &mut HashMap<u64, CountGroup<C>>,
-        hits: &mut u64,
-        class_hits: &mut u64,
-        admitted: &mut u64,
-        pruned: &mut u64,
+        index: &mut PredicateIndex,
+        tally: &mut Tally,
         pruning: bool,
         objects: &[Object],
         out: &mut Vec<QueryUpdate>,
         hint: usize,
     ) {
+        if count_groups.is_empty() {
+            return;
+        }
+        if index.is_stale() {
+            // the group set changed since the last publish: re-index,
+            // handing each group its slot
+            index.rebuild(count_groups.values_mut().enumerate().map(|(slot, g)| {
+                g.slot = slot;
+                g.predicate
+            }));
+        }
+        index.route(objects.iter().map(|o| (o.id, o.score)));
         for group in count_groups.values_mut() {
             let CountGroup {
                 slide_len,
@@ -1343,56 +1537,73 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                 ring_cap,
                 member_ids,
                 next_ordinal,
-                predicate,
                 gate,
                 classes,
+                slot,
+                ..
             } = group;
-            for o in objects {
-                let r = *next_ordinal;
-                *next_ordinal += 1;
-                // every observed object enters the ring and advances the
-                // fill, admitted or not — ordinals stay dense, so slide
-                // boundaries, checkpoints, and drain order are
-                // byte-identical whatever the admission plane skips
-                ring.push_back(o.id);
-                if ring.len() > *ring_cap {
-                    ring.pop_front();
-                    *ring_base += 1;
-                }
-                if predicate.accepts(o) {
-                    if pruning && !gate.admits(o.score) {
+            let accepted = index.accepted(*slot);
+            let mut next_accepted = 0;
+            // the ordinal of `objects[0]`: ordinals stay dense — every
+            // observed object gets one, admitted or not — so slide
+            // boundaries, checkpoints, and drain order are byte-identical
+            // whatever the admission plane skips
+            let base = *next_ordinal;
+            let mut start = 0;
+            while start < objects.len() {
+                let fill = *next_ordinal - producer.next_slide() * *slide_len as u64;
+                let room = *slide_len - fill as usize;
+                let end = objects.len().min(start + room);
+                // one slice per segment, trimmed exactly where the
+                // per-object rule (push one, drop the oldest past the
+                // cap) leaves the ring — a ring above its cap (the
+                // deepest member left) keeps its length
+                let keep = ring.len().max(*ring_cap);
+                debug_assert!(end - start <= keep, "a segment never outgrows the ring");
+                let excess = (ring.len() + end - start).saturating_sub(keep);
+                ring.drain(..excess);
+                *ring_base += excess as u64;
+                ring.extend(objects[start..end].iter().map(|o| o.id));
+                *next_ordinal = base + end as u64;
+                while let Some(&pos) = accepted.get(next_accepted) {
+                    let pos = pos as usize;
+                    if pos >= end {
+                        break;
+                    }
+                    next_accepted += 1;
+                    tally.visit_group_object();
+                    let score = objects[pos].score;
+                    if pruning && !gate.admits(score) {
                         // ≥ k_max admitted objects of this open slide
                         // strictly dominate it — it cannot survive the
                         // close's top-`k_max` truncation, so no member
                         // can ever observe it
-                        *pruned += 1;
-                    } else {
-                        // the ordinal doubles as the synthetic
-                        // timestamp; it never reaches the open slide's
-                        // end (r < (j+1)·s for an object of slide j), so
-                        // closure is always explicit below
-                        producer.ingest_with(TimedObject::new(r, r, o.score), &mut |_| {
-                            debug_assert!(
-                                false,
-                                "count slides close on arrival counts, never on ordinal timestamps"
-                            );
-                        });
-                        *admitted += 1;
-                        if pruning {
-                            gate.offer(o.score);
-                        }
+                        tally.pruned += 1;
+                        continue;
+                    }
+                    // the ordinal doubles as the synthetic timestamp; it
+                    // never reaches the open slide's end (r < (j+1)·s
+                    // for an object of slide j), so closure is always
+                    // explicit below
+                    let r = base + pos as u64;
+                    producer.ingest_with(TimedObject::new(r, r, score), &mut |_| {
+                        debug_assert!(
+                            false,
+                            "count slides close on arrival counts, never on ordinal timestamps"
+                        );
+                    });
+                    tally.admitted += 1;
+                    if pruning {
+                        gate.offer(score);
                     }
                 }
-                if (*next_ordinal - producer.next_slide() * *slide_len as u64) == *slide_len as u64
-                {
+                if end - start == room {
                     producer.close_slide_with(|view| {
                         for class in classes.iter_mut() {
                             let snapshot = class.close(view, ring, *ring_base);
-                            for &member in &class.members {
-                                let idx = sessions
-                                    .binary_search_by_key(&member, |(id, _)| *id)
-                                    .expect("count-group member ids name registered sessions");
-                                let (id, session) = &mut sessions[idx];
+                            for i in 0..class.members.len() {
+                                let pos = class.members.locate(i, sessions);
+                                let (id, session) = &mut sessions[pos];
                                 let AnySession::Grouped(session) = session else {
                                     unreachable!("count-group member ids name grouped sessions")
                                 };
@@ -1404,95 +1615,94 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                     // the gate's dominance counter is per open slide;
                     // the close opened a fresh one
                     gate.reset();
-                    *hits += member_ids.len() as u64;
+                    tally.count_group_hits += member_ids.len() as u64;
                     // classes partition the members, so the members past
                     // one-per-class were served without a reduction
-                    *class_hits += (member_ids.len() - classes.len()) as u64;
+                    tally.class_hits += (member_ids.len() - classes.len()) as u64;
                 }
+                start = end;
             }
         }
     }
 
-    /// Fans a timed batch out to every session: each slide group ingests
-    /// the batch **once**, then sessions are walked in registration order
-    /// — count-based sessions see the untimed view, isolated timed
-    /// sessions consume the raw batch, shared sessions apply their
-    /// group's closed digests (or, during warm-up, their private view).
+    /// Fans a timed batch out: each slide group ingests the batch
+    /// **once** (through the predicate dispatch, see
+    /// [`ingest_groups`](Registry::ingest_groups)), the individually
+    /// served sessions are walked in registration order — isolated count
+    /// sessions see the untimed view, isolated timed sessions consume
+    /// the raw batch, unclassed shared sessions apply their group's
+    /// closed digests (or, during warm-up, their private view) — and
+    /// result classes and count groups serve their members directly.
     pub(crate) fn publish_timed(&mut self, objects: &[TimedObject]) -> Vec<QueryUpdate> {
         if self.sessions.is_empty() || objects.is_empty() {
             return Vec::new();
         }
         let Registry {
             sessions,
+            served,
             groups,
             count_groups,
-            isolated_counts,
-            digest_hits,
-            digest_rebuilds,
-            count_group_hits,
-            count_group_rebuilds,
-            admitted,
-            pruned,
+            digest_index,
+            count_index,
+            tally,
             admission_pruning,
-            class_hits,
             plain_buf,
+            prefix_max,
             update_hint,
             ..
         } = self;
-        // strip the timestamps once, not once per count-based session —
-        // into the pooled buffer, so steady-state publishes reuse its
-        // capacity instead of allocating a fresh Vec per call
+        // the untimed view is stripped once, on first need, into the
+        // pooled buffer — steady-state publishes reuse its capacity
+        // instead of allocating a fresh Vec per call
         plain_buf.clear();
-        if *isolated_counts > 0 || !count_groups.is_empty() {
-            plain_buf.extend(objects.iter().map(TimedObject::untimed));
-        }
-        let closed = Self::ingest_groups(groups, objects, *admission_pruning, admitted, pruned);
+        let closed = Self::ingest_groups(
+            groups,
+            digest_index,
+            prefix_max,
+            objects,
+            *admission_pruning,
+            tally,
+        );
         let mut out = Vec::new();
         let hint = *update_hint;
-        for (id, session) in sessions.iter_mut() {
+        for &pos in served.iter() {
+            tally.visit_session();
+            let (id, session) = &mut sessions[pos];
             match session {
                 AnySession::Count(session) => {
+                    if plain_buf.is_empty() {
+                        plain_buf.extend(objects.iter().map(TimedObject::untimed));
+                    }
                     let before = out.len();
                     session.push_each(plain_buf, &mut tagged_sink(&mut out, hint, *id));
-                    *count_group_rebuilds += (out.len() - before) as u64;
+                    tally.count_group_rebuilds += (out.len() - before) as u64;
                 }
-                // grouped sessions are served per group, below
-                AnySession::Grouped(_) => {}
                 AnySession::Timed(session) => {
                     session.push_timed_each(objects, &mut tagged_sink(&mut out, hint, *id))
                 }
                 AnySession::Shared(session) => {
-                    // classed members are served per class, below
-                    if !session.is_classed() {
-                        Self::serve_shared(
-                            digest_hits,
-                            digest_rebuilds,
-                            session,
-                            &closed,
-                            &mut tagged_sink(&mut out, hint, *id),
-                            |s, f| s.push_warmup(objects, f),
-                        )
-                    }
+                    Self::serve_shared(
+                        tally,
+                        session,
+                        &closed,
+                        &mut tagged_sink(&mut out, hint, *id),
+                        |s, f| s.push_warmup(objects, f),
+                    );
+                    Self::promote(groups, session);
                 }
+                AnySession::Grouped(_) => unreachable!("grouped members are served per group"),
             }
         }
         let walked = out.len();
-        Self::serve_shared_classes(
-            sessions,
-            groups,
-            &closed,
-            digest_hits,
-            class_hits,
-            &mut out,
-            hint,
-        );
+        Self::serve_shared_classes(sessions, groups, &closed, tally, &mut out, hint);
+        if !count_groups.is_empty() && plain_buf.is_empty() {
+            plain_buf.extend(objects.iter().map(TimedObject::untimed));
+        }
         Self::serve_count_groups(
             sessions,
             count_groups,
-            count_group_hits,
-            class_hits,
-            admitted,
-            pruned,
+            count_index,
+            tally,
             *admission_pruning,
             plain_buf,
             &mut out,
@@ -1506,7 +1716,6 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             out.sort_unstable_by_key(|u| (u.query, u.result.slide));
         }
         note_update_hint(update_hint, out.len());
-        Self::promote_ready(sessions, groups);
         out
     }
 
@@ -1519,46 +1728,32 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         }
         let Registry {
             sessions,
+            served,
             groups,
-            digest_hits,
-            digest_rebuilds,
-            class_hits,
+            tally,
             update_hint,
             ..
         } = self;
-        let closed = Self::close_groups(groups, |producer| producer.advance_to(watermark));
+        let closed = Self::close_groups(groups, watermark);
         let mut out = Vec::new();
         let hint = *update_hint;
-        for (id, session) in sessions.iter_mut() {
+        for &pos in served.iter() {
+            tally.visit_session();
+            let (id, session) = &mut sessions[pos];
             let mut sink = tagged_sink(&mut out, hint, *id);
             match session {
                 AnySession::Count(_) | AnySession::Grouped(_) => continue,
                 AnySession::Timed(session) => session.advance_watermark_each(watermark, &mut sink),
                 AnySession::Shared(session) => {
-                    // classed members are served per class, below
-                    if !session.is_classed() {
-                        Self::serve_shared(
-                            digest_hits,
-                            digest_rebuilds,
-                            session,
-                            &closed,
-                            &mut sink,
-                            |s, f| s.advance_warmup(watermark, f),
-                        )
-                    }
+                    Self::serve_shared(tally, session, &closed, &mut sink, |s, f| {
+                        s.advance_warmup(watermark, f)
+                    });
+                    Self::promote(groups, session);
                 }
             }
         }
         let walked = out.len();
-        Self::serve_shared_classes(
-            sessions,
-            groups,
-            &closed,
-            digest_hits,
-            class_hits,
-            &mut out,
-            hint,
-        );
+        Self::serve_shared_classes(sessions, groups, &closed, tally, &mut out, hint);
         if out.len() > walked {
             // class serving appends per class, not per registered query;
             // sorting restores registration-order delivery (same
@@ -1566,21 +1761,20 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             out.sort_unstable_by_key(|u| (u.query, u.result.slide));
         }
         note_update_hint(update_hint, out.len());
-        Self::promote_ready(sessions, groups);
         out
     }
 
-    /// Drives every group's producer once per call (`drive` is the
-    /// watermark step) and collects the slides each group closed, keyed
-    /// by `(slide duration, predicate)`. Any close opens a fresh slide,
-    /// so the group's dominance gate resets.
+    /// Advances every group's producer to `watermark` and collects the
+    /// slides each group closed, keyed by `(slide duration, predicate)`.
+    /// Any close opens a fresh slide, so the group's dominance gate
+    /// resets.
     fn close_groups(
         groups: &mut HashMap<(u64, Predicate), DigestGroup<C>>,
-        mut drive: impl FnMut(&mut DigestProducer) -> Vec<DigestRef>,
+        watermark: u64,
     ) -> HashMap<(u64, Predicate), Vec<DigestRef>> {
         let mut closed = HashMap::new();
         for (key, group) in groups {
-            let digests = drive(&mut group.producer);
+            let digests = group.producer.advance_to(watermark);
             if !digests.is_empty() {
                 group.gate.reset();
                 closed.insert(*key, digests);
@@ -1589,51 +1783,75 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         closed
     }
 
-    /// The admission plane's ingest: fans a timed batch to every slide
-    /// group, filtering each object **before** it touches the group's
-    /// producer. Per object and group: event time advances first
-    /// (predicate-rejected and dominance-pruned objects still close
-    /// slides — boundaries never depend on admission), then the
-    /// predicate gates fan-out, then the k-skyband dominance gate prunes
-    /// objects that provably cannot survive the open slide's top-`k_max`
-    /// truncation. Returns the closed digests, like
+    /// The admission plane's ingest: routes a timed batch through the
+    /// slide groups' [`PredicateIndex`] once, so each group handles only
+    /// the objects its predicate accepts — in batch order, each judged
+    /// by the dominance gate, which prunes objects that provably cannot
+    /// survive the open slide's top-`k_max` truncation.
+    ///
+    /// Event time advances **before** each accepted object, to the
+    /// largest timestamp the batch has reached up to it (the prefix
+    /// maximum), and once more to the batch maximum at the end: rejected
+    /// and pruned objects still close slides, so boundaries never depend
+    /// on admission, and because [`DigestProducer::advance_to`] ignores a
+    /// lower watermark, this closes exactly the slides — in the same
+    /// order, with the gate judging each object against the slide it
+    /// lands in — that advancing the group at every object would,
+    /// out-of-order input included. Returns the closed digests, like
     /// [`close_groups`](Registry::close_groups).
     fn ingest_groups(
         groups: &mut HashMap<(u64, Predicate), DigestGroup<C>>,
+        index: &mut PredicateIndex,
+        prefix_max: &mut Vec<u64>,
         objects: &[TimedObject],
         pruning: bool,
-        admitted: &mut u64,
-        pruned: &mut u64,
+        tally: &mut Tally,
     ) -> HashMap<(u64, Predicate), Vec<DigestRef>> {
         let mut closed = HashMap::new();
-        for (key, group) in groups {
+        if groups.is_empty() {
+            return closed;
+        }
+        if index.is_stale() {
+            index.rebuild(groups.values_mut().enumerate().map(|(slot, g)| {
+                g.slot = slot;
+                g.predicate
+            }));
+        }
+        index.route(objects.iter().map(|o| (o.id, o.score)));
+        prefix_max.clear();
+        let mut reached = 0;
+        prefix_max.extend(objects.iter().map(|o| {
+            reached = reached.max(o.timestamp);
+            reached
+        }));
+        let advance = |group: &mut DigestGroup<C>, watermark: u64, digests: &mut Vec<DigestRef>| {
+            let before = digests.len();
+            digests.extend(group.producer.advance_to(watermark));
+            if digests.len() > before {
+                group.gate.reset();
+            }
+        };
+        for (key, group) in groups.iter_mut() {
             let mut digests: Vec<DigestRef> = Vec::new();
-            for &o in objects {
-                // advance before testing: if this timestamp closes the
-                // open slide, the gate must judge the object against the
-                // *fresh* slide it actually lands in
-                let before = digests.len();
-                digests.extend(group.producer.advance_to(o.timestamp));
-                if digests.len() > before {
-                    group.gate.reset();
-                }
-                if !group.predicate.accepts_timed(&o) {
-                    continue;
-                }
+            for &pos in index.accepted(group.slot) {
+                tally.visit_group_object();
+                let o = objects[pos as usize];
+                advance(group, prefix_max[pos as usize], &mut digests);
                 if pruning && !group.gate.admits(o.score) {
-                    *pruned += 1;
+                    tally.pruned += 1;
                     continue;
                 }
-                // the producer is already at `o.timestamp`, so this
-                // ingest can close nothing — it only buffers
+                // the producer is already at or past `o.timestamp`, so
+                // this ingest can close nothing — it only buffers
                 group.producer.ingest_with(o, &mut |_| {
                     debug_assert!(false, "ingest after advance_to cannot close a slide")
                 });
-                *admitted += 1;
+                tally.admitted += 1;
                 if pruning {
                     group.gate.offer(o.score);
                 }
             }
+            advance(group, reached, &mut digests);
             if !digests.is_empty() {
                 closed.insert(*key, digests);
             }
@@ -1641,60 +1859,75 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         closed
     }
 
-    /// Serves one shared session its slides for this call, emitting them
-    /// through the caller's sink: the private warm-up view (counted as
-    /// rebuilds) while it is catching up, its group's closed digests
-    /// (counted as hits) once promoted. One copy of the hit/rebuild
-    /// accounting for both the publish and the watermark path, so
-    /// `HubStats` can never drift between them.
+    /// Serves one unclassed shared session its slides for this call,
+    /// emitting them through the caller's sink: the private warm-up view
+    /// (counted as rebuilds) while it is catching up, its group's closed
+    /// digests (counted as hits) once promoted. One copy of the
+    /// hit/rebuild accounting for both the publish and the watermark
+    /// path, so `HubStats` can never drift between them.
     fn serve_shared(
-        hits: &mut u64,
-        rebuilds: &mut u64,
+        tally: &mut Tally,
         session: &mut SharedSession<C>,
         closed: &HashMap<(u64, Predicate), Vec<DigestRef>>,
         sink: &mut dyn FnMut(SlideResult),
         warmup: impl FnOnce(&mut SharedSession<C>, &mut dyn FnMut(SlideResult)),
     ) {
+        debug_assert!(
+            !session.is_classed(),
+            "classed members are served per class"
+        );
         if session.is_warming_up() {
             let mut served = 0u64;
             warmup(session, &mut |result| {
                 served += 1;
                 sink(result);
             });
-            *rebuilds += served;
+            tally.digest_rebuilds += served;
         } else if let Some(digests) = closed.get(&(session.slide_duration(), session.predicate())) {
-            *hits += digests.len() as u64;
+            tally.digest_hits += digests.len() as u64;
             session.apply_digests(digests, sink);
         }
     }
 
-    /// Serves every slide group's result classes their closed digests:
-    /// one reduction + one diff per class per digest
-    /// ([`SharedClass::close`]), then each member stamps the class's
-    /// shared snapshot ([`SharedSession::emit_class`]). Output is
-    /// appended per class, after the session walk — callers re-sort by
-    /// `(query, slide)` when anything landed here.
+    /// Promotes a just-served warm-up member whose group has closed the
+    /// slide it joined during: both producers processed the same
+    /// timestamps, so from the next slide on the private and shared
+    /// views are identical. The group's producer has absorbed the whole
+    /// call before the session walk, so checking right after serving the
+    /// member sees the same cursor a separate pass afterwards would.
+    fn promote(groups: &HashMap<(u64, Predicate), DigestGroup<C>>, s: &mut SharedSession<C>) {
+        if s.is_warming_up() {
+            if let Some(group) = groups.get(&(s.slide_duration(), s.predicate())) {
+                s.maybe_promote(group.producer.next_slide());
+            }
+        }
+    }
+
+    /// Serves the result classes of every slide group that closed
+    /// slides this call: one reduction + one diff per class per digest
+    /// ([`SharedClass::close`]), then each member — reached through its
+    /// cached store position — stamps the class's shared snapshot
+    /// ([`SharedSession::emit_class`]). Output is appended per class,
+    /// after the session walk — callers re-sort by `(query, slide)` when
+    /// anything landed here.
     fn serve_shared_classes(
         sessions: &mut [(QueryId, AnySession<C, T>)],
         groups: &mut HashMap<(u64, Predicate), DigestGroup<C>>,
         closed: &HashMap<(u64, Predicate), Vec<DigestRef>>,
-        hits: &mut u64,
-        class_hits: &mut u64,
+        tally: &mut Tally,
         out: &mut Vec<QueryUpdate>,
         hint: usize,
     ) {
-        for (key, group) in groups.iter_mut() {
-            let Some(digests) = closed.get(key) else {
-                continue;
-            };
+        for (key, digests) in closed {
+            let group = groups
+                .get_mut(key)
+                .expect("closed digests come from live groups");
             for class in group.classes.iter_mut() {
                 for digest in digests {
                     let snapshot = class.close(digest);
-                    for &member in &class.members {
-                        let idx = sessions
-                            .binary_search_by_key(&member, |(id, _)| *id)
-                            .expect("class member ids name registered sessions");
-                        let (id, session) = &mut sessions[idx];
+                    for i in 0..class.members.len() {
+                        let pos = class.members.locate(i, sessions);
+                        let (id, session) = &mut sessions[pos];
                         let AnySession::Shared(session) = session else {
                             unreachable!("slide-group class members are shared sessions")
                         };
@@ -1705,30 +1938,15 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                 // every member-slide here came from the shared digest
                 // plane (hits), and all but one-per-class also skipped
                 // the reduction (class_hits)
-                *hits += (digests.len() * class.members.len()) as u64;
-                *class_hits += (digests.len() * (class.members.len() - 1)) as u64;
-            }
-        }
-    }
-
-    /// Promotes every warm-up member whose group has closed the slide it
-    /// joined during: both producers processed the same timestamps, so
-    /// from the next slide on the private and shared views are identical.
-    fn promote_ready(
-        sessions: &mut [(QueryId, AnySession<C, T>)],
-        groups: &HashMap<(u64, Predicate), DigestGroup<C>>,
-    ) {
-        for (_, session) in sessions {
-            if let AnySession::Shared(s) = session {
-                if let Some(group) = groups.get(&(s.slide_duration(), s.predicate())) {
-                    s.maybe_promote(group.producer.next_slide());
-                }
+                tally.digest_hits += (digests.len() * class.members.len()) as u64;
+                tally.class_hits += (digests.len() * (class.members.len() - 1)) as u64;
             }
         }
     }
 
     pub(crate) fn session(&self, id: QueryId) -> Option<&AnySession<C, T>> {
-        self.sessions.iter().find(|(q, _)| *q == id).map(|(_, s)| s)
+        let pos = self.sessions.binary_search_by_key(&id, |(q, _)| *q).ok()?;
+        Some(&self.sessions[pos].1)
     }
 
     pub(crate) fn query_ids(&self) -> impl Iterator<Item = QueryId> + '_ {
@@ -1796,15 +2014,15 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         let mut stats = HubStats {
             queries: self.sessions.len(),
             digest_groups: self.groups.len() as u64,
-            digest_hits: self.digest_hits,
-            digest_rebuilds: self.digest_rebuilds,
+            digest_hits: self.tally.digest_hits,
+            digest_rebuilds: self.tally.digest_rebuilds,
             count_groups: self.count_groups.len() as u64,
-            count_group_hits: self.count_group_hits,
-            count_group_rebuilds: self.count_group_rebuilds,
-            admitted: self.admitted,
-            pruned: self.pruned,
+            count_group_hits: self.tally.count_group_hits,
+            count_group_rebuilds: self.tally.count_group_rebuilds,
+            admitted: self.tally.admitted,
+            pruned: self.tally.pruned,
             result_classes,
-            class_hits: self.class_hits,
+            class_hits: self.tally.class_hits,
             ..HubStats::default()
         };
         for (_, session) in &self.sessions {
@@ -1884,11 +2102,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                         let class_consumer = self
                             .groups
                             .get(&(spec.slide_duration, s.predicate()))
-                            .and_then(|g| {
-                                g.classes
-                                    .iter()
-                                    .find(|c| c.members.binary_search(id).is_ok())
-                            })
+                            .and_then(|g| g.classes.iter().find(|c| c.members.contains(*id)))
                             .map(|c| &c.consumer);
                         s.encode_checkpoint_body(e, class_consumer);
                     }
@@ -1902,11 +2116,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                         let class_consumer = self
                             .count_groups
                             .get(&s.group())
-                            .and_then(|g| {
-                                g.classes
-                                    .iter()
-                                    .find(|c| c.members.binary_search(id).is_ok())
-                            })
+                            .and_then(|g| g.classes.iter().find(|c| c.members.contains(*id)))
                             .map(|c| &c.consumer);
                         s.encode_checkpoint_body(e, class_consumer, index_of[&s.group()]);
                     }
@@ -1940,14 +2150,14 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             }
         });
         enc.section(tags::COUNTERS, |e| {
-            e.put_u64(self.digest_hits);
-            e.put_u64(self.digest_rebuilds);
-            e.put_u64(self.count_group_hits);
-            e.put_u64(self.count_group_rebuilds);
+            e.put_u64(self.tally.digest_hits);
+            e.put_u64(self.tally.digest_rebuilds);
+            e.put_u64(self.tally.count_group_hits);
+            e.put_u64(self.tally.count_group_rebuilds);
         });
         enc.section(tags::ADMISSION, |e| {
-            e.put_u64(self.admitted);
-            e.put_u64(self.pruned);
+            e.put_u64(self.tally.admitted);
+            e.put_u64(self.tally.pruned);
         });
     }
 
@@ -2215,6 +2425,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                         predicate: key.1,
                         gate,
                         classes: Vec::new(),
+                        slot: 0,
                     },
                 )
             })
@@ -2241,12 +2452,12 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                         predicate: state.predicate,
                         gate,
                         classes: Vec::new(),
+                        slot: 0,
                     },
                 )
             })
             .collect();
         let next_count_gid = count_groups.len() as u64;
-        let mut isolated_counts = 0;
         // the consumer-less travelers (ejected class followers), noted
         // *before* pass 1 — classing strips donors of their consumers,
         // leaving them indistinguishable from followers afterwards
@@ -2264,7 +2475,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         // of pass 2 always find their class already standing
         for (id, session) in &mut sessions {
             match session {
-                AnySession::Count(_) => isolated_counts += 1,
+                AnySession::Count(_) | AnySession::Timed(_) => {}
                 AnySession::Shared(s) => {
                     let group = groups
                         .get_mut(&(s.slide_duration(), s.predicate()))
@@ -2286,7 +2497,6 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                         Self::class_grouped_member(group, *id, g);
                     }
                 }
-                AnySession::Timed(_) => {}
             }
         }
         // pass 2 — consumer-less travelers (ejected class followers)
@@ -2311,22 +2521,34 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                 _ => unreachable!("only shared and grouped members travel consumer-less"),
             }
         }
+        let served = (0..sessions.len())
+            .filter(|&pos| Self::walked(&sessions[pos].1))
+            .collect();
+        let mut digest_index = PredicateIndex::default();
+        digest_index.mark_stale();
+        let mut count_index = PredicateIndex::default();
+        count_index.mark_stale();
         Registry {
             sessions,
             groups,
             count_groups,
             next_count_gid,
-            isolated_counts,
-            digest_hits,
-            digest_rebuilds,
-            count_group_hits,
-            count_group_rebuilds,
-            admitted,
-            pruned,
+            served,
+            digest_index,
+            count_index,
+            tally: Tally {
+                digest_hits,
+                digest_rebuilds,
+                count_group_hits,
+                count_group_rebuilds,
+                admitted,
+                pruned,
+                ..Tally::default()
+            },
             admission_pruning: true,
-            class_hits: 0,
             class_sharing: true,
             plain_buf: Vec::new(),
+            prefix_max: Vec::new(),
             update_hint: 0,
             shard,
         }
@@ -2353,13 +2575,13 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                 && consumer_sig(&c.consumer) == sig
         });
         match candidate {
-            Some(class) => {
-                let pos = class.members.partition_point(|m| *m < id);
-                class.members.insert(pos, id);
-            }
+            Some(class) => class.members.insert(id),
             None => {
                 let prev = s.last_snapshot_shared();
-                group.classes.push(SharedClass::new(consumer, id, prev));
+                let members = Members::one(id, usize::MAX);
+                group
+                    .classes
+                    .push(SharedClass::new(consumer, members, prev));
             }
         }
     }
@@ -2378,15 +2600,13 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             .iter_mut()
             .find(|c| c.n == spec.n && c.k == spec.k && c.join_slide == join_slide);
         match candidate {
-            Some(class) => {
-                let pos = class.members.partition_point(|m| *m < id);
-                class.members.insert(pos, id);
-            }
+            Some(class) => class.members.insert(id),
             None => {
                 let prev = g.last_snapshot_shared();
+                let members = Members::one(id, usize::MAX);
                 group
                     .classes
-                    .push(CountClass::new(spec, join_slide, consumer, id, prev));
+                    .push(CountClass::new(spec, join_slide, consumer, members, prev));
             }
         }
     }
@@ -2402,10 +2622,9 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         let class = group
             .classes
             .iter_mut()
-            .find(|c| c.members.binary_search(&rep).is_ok())
+            .find(|c| c.members.contains(rep))
             .expect("a class representative installs before its followers");
-        let pos = class.members.partition_point(|m| *m < id);
-        class.members.insert(pos, id);
+        class.members.insert(id);
         s.set_class_rep(None);
     }
 
@@ -2420,8 +2639,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             .iter_mut()
             .find(|c| (c.n, c.k, c.join_slide) == key)
             .expect("a traveling count group carries a consumer per class key");
-        let pos = class.members.partition_point(|m| *m < id);
-        class.members.insert(pos, id);
+        class.members.insert(id);
     }
 
     // ---- live migration ---------------------------------------------------
@@ -2452,11 +2670,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                 Self::class_shared_member(group, id, s);
             }
         }
-        if matches!(session, AnySession::Count(_)) {
-            self.isolated_counts += 1;
-        }
-        let pos = self.sessions.partition_point(|(have, _)| *have < id);
-        self.sessions.insert(pos, (id, session));
+        self.insert_session(id, session);
     }
 
     /// Installs a slide-group producer ahead of its member sessions.
@@ -2472,8 +2686,10 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
                 predicate: key.1,
                 gate,
                 classes: Vec::new(),
+                slot: 0,
             },
         );
+        self.digest_index.mark_stale();
         debug_assert!(prev.is_none(), "installing over a live slide group");
     }
 
@@ -2489,12 +2705,12 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         admitted: u64,
         pruned: u64,
     ) {
-        self.digest_hits += hits;
-        self.digest_rebuilds += rebuilds;
-        self.count_group_hits += count_hits;
-        self.count_group_rebuilds += count_rebuilds;
-        self.admitted += admitted;
-        self.pruned += pruned;
+        self.tally.digest_hits += hits;
+        self.tally.digest_rebuilds += rebuilds;
+        self.tally.count_group_hits += count_hits;
+        self.tally.count_group_rebuilds += count_rebuilds;
+        self.tally.admitted += admitted;
+        self.tally.pruned += pruned;
     }
 
     /// Installs a count group and its member sessions as one unit (the
@@ -2535,6 +2751,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             predicate: state.predicate,
             gate,
             classes: Vec::new(),
+            slot: 0,
         };
         // rebuild the result classes (see `from_merged`): consumer
         // carriers found or join by exact key first, then consumer-less
@@ -2561,12 +2778,12 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             }
         }
         self.count_groups.insert(gid, group);
+        self.count_index.mark_stale();
         for (id, mut session) in members {
             if let AnySession::Grouped(g) = &mut session {
                 g.set_group(gid);
             }
-            let pos = self.sessions.partition_point(|(have, _)| *have < id);
-            self.sessions.insert(pos, (id, session));
+            self.insert_session(id, session);
         }
     }
 
@@ -2580,7 +2797,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         group: &mut CountGroup<C>,
     ) {
         for class in group.classes.drain(..) {
-            let rep = class.members[0];
+            let rep = class.members.first();
             let idx = sessions
                 .binary_search_by_key(&rep, |(id, _)| *id)
                 .expect("class member ids name registered sessions");
@@ -2604,8 +2821,8 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             let SharedClass {
                 consumer, members, ..
             } = class;
-            let rep = members[0];
-            for &member in &members[1..] {
+            let rep = members.first();
+            for member in members.ids().skip(1) {
                 let idx = sessions
                     .binary_search_by_key(&member, |(id, _)| *id)
                     .expect("class member ids name registered sessions");
@@ -2632,14 +2849,19 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         &mut self,
         member: QueryId,
     ) -> Option<EjectedCountGroup<C, T>> {
-        let gid = self.sessions.iter().find_map(|(id, s)| match s {
-            AnySession::Grouped(g) if *id == member => Some(g.group()),
-            _ => None,
-        })?;
+        let pos = self
+            .sessions
+            .binary_search_by_key(&member, |(id, _)| *id)
+            .ok()?;
+        let AnySession::Grouped(g) = &self.sessions[pos].1 else {
+            return None;
+        };
+        let gid = g.group();
         let mut group = self
             .count_groups
             .remove(&gid)
             .expect("a grouped session's gid names a live count group");
+        self.count_index.mark_stale();
         Self::dissolve_count_classes(&mut self.sessions, &mut group);
         let mut members = Vec::with_capacity(group.member_ids.len());
         let mut i = 0;
@@ -2647,7 +2869,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             let is_member =
                 matches!(&self.sessions[i].1, AnySession::Grouped(g) if g.group() == gid);
             if is_member {
-                members.push(self.sessions.remove(i));
+                members.push(self.remove_session(i));
             } else {
                 i += 1;
             }
@@ -2670,6 +2892,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// ascending-id order. `None` if no such group lives here.
     pub(crate) fn eject_group(&mut self, key: (u64, Predicate)) -> Option<EjectedGroup<C, T>> {
         let mut group = self.groups.remove(&key)?;
+        self.digest_index.mark_stale();
         Self::dissolve_shared_classes(&mut self.sessions, &mut group);
         let mut members = Vec::with_capacity(group.members);
         let mut i = 0;
@@ -2677,7 +2900,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             let is_member = matches!(&self.sessions[i].1, AnySession::Shared(s)
                 if s.slide_duration() == key.0 && s.predicate() == key.1);
             if is_member {
-                members.push(self.sessions.remove(i));
+                members.push(self.remove_session(i));
             } else {
                 i += 1;
             }
@@ -2700,7 +2923,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         for group in self.count_groups.values_mut() {
             Self::dissolve_count_classes(&mut self.sessions, group);
         }
-        self.class_hits = 0;
+        self.tally.class_hits = 0;
         let mut groups: Vec<((u64, Predicate), DigestProducer)> = self
             .groups
             .drain()
@@ -2721,6 +2944,9 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             .map(|(i, gid)| (*gid, i as u64))
             .collect();
         let mut sessions = std::mem::take(&mut self.sessions);
+        self.served.clear();
+        self.digest_index.mark_stale();
+        self.count_index.mark_stale();
         for (_, session) in &mut sessions {
             if let AnySession::Grouped(g) = session {
                 g.set_group(index_of[&g.group()]);
@@ -2743,17 +2969,17 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             })
             .collect();
         self.next_count_gid = 0;
-        self.isolated_counts = 0;
+        let tally = std::mem::take(&mut self.tally);
         RegistryParts {
             sessions,
             groups,
             count_groups,
-            digest_hits: std::mem::take(&mut self.digest_hits),
-            digest_rebuilds: std::mem::take(&mut self.digest_rebuilds),
-            count_group_hits: std::mem::take(&mut self.count_group_hits),
-            count_group_rebuilds: std::mem::take(&mut self.count_group_rebuilds),
-            admitted: std::mem::take(&mut self.admitted),
-            pruned: std::mem::take(&mut self.pruned),
+            digest_hits: tally.digest_hits,
+            digest_rebuilds: tally.digest_rebuilds,
+            count_group_hits: tally.count_group_hits,
+            count_group_rebuilds: tally.count_group_rebuilds,
+            admitted: tally.admitted,
+            pruned: tally.pruned,
         }
     }
 }
@@ -2814,6 +3040,81 @@ mod tests {
         reg.register_shared(QueryId::from_raw(2), consumer(40, 10, 2), hot, None);
         assert_eq!(reg.groups.len(), 2);
         assert_eq!(reg.groups[&(10, hot)].members, 2);
+    }
+
+    /// A count-group member's consumer over the `⟨n, k, s⟩` reduction.
+    fn count_consumer(n: usize, k: usize, s: usize) -> (SharedTimed<Toy>, WindowSpec) {
+        let reduced = TimedSpec::new(n as u64, s as u64, k)
+            .unwrap()
+            .reduced()
+            .unwrap();
+        let engine = Toy::new(reduced.n, reduced.k, reduced.s);
+        (
+            SharedTimed::from_engine(engine, n as u64, s as u64).unwrap(),
+            WindowSpec::new(n, k, s).unwrap(),
+        )
+    }
+
+    fn timed_batch(ids: std::ops::Range<u64>) -> Vec<TimedObject> {
+        ids.map(|i| TimedObject::new(i, i, ((i * 37) % 101) as f64))
+            .collect()
+    }
+
+    /// The scale gate of the publish path, counted rather than timed: a
+    /// quiet `publish_timed` to ≥ 10³ classed members split over ≥ 100
+    /// tag predicates serves no session one by one, and each object
+    /// reaches only the groups whose predicate accepts it — not every
+    /// group, and not every session.
+    #[test]
+    fn quiet_publish_visits_no_session_and_only_accepting_groups() {
+        const TAGS: u64 = 120;
+        let mut reg: Registry<Toy, ToyTimed> = Registry::default();
+        for i in 0..1_200u64 {
+            let predicate = Predicate::any().tag(TAGS, (i / 2) % TAGS);
+            let k = 1 + (i as usize / 2) % 3;
+            if i % 2 == 0 {
+                reg.register_shared(QueryId::from_raw(i), consumer(200, 100, k), predicate, None);
+            } else {
+                let (consumer, spec) = count_consumer(100, k, 50);
+                reg.register_grouped(QueryId::from_raw(i), consumer, spec, predicate, None);
+            }
+        }
+        // warm-up: ten digest slides (the last one closing at t = 1000)
+        // and twenty count slides; the count groups end one object into
+        // their open slide
+        let warm = reg.publish_timed(&timed_batch(0..1_001));
+        assert!(!warm.is_empty(), "warm-up closes slides");
+        let stats = reg.stats();
+        assert_eq!(stats.shared_queries + stats.grouped_queries, 1_200);
+        assert_eq!(stats.digest_groups, TAGS);
+        assert_eq!(stats.count_groups, TAGS);
+        assert!(stats.result_classes < 1_200, "members are classed");
+
+        let quiet = timed_batch(1_001..1_021);
+        let accepting: u64 = quiet
+            .iter()
+            .map(|o| {
+                let digest = reg.groups.values().filter(|g| g.predicate.accepts_timed(o));
+                let count = reg
+                    .count_groups
+                    .values()
+                    .filter(|g| g.predicate.accepts_timed(o));
+                (digest.count() + count.count()) as u64
+            })
+            .sum();
+        assert_eq!(accepting, 2 * quiet.len() as u64, "one tag group per plane");
+        let (sessions, group_objects) = (reg.tally.sessions_visited, reg.tally.group_objects);
+        assert!(reg.publish_timed(&quiet).is_empty(), "no slide closes");
+        assert_eq!(
+            reg.tally.sessions_visited - sessions,
+            0,
+            "a quiet publish to classed members visits no session"
+        );
+        assert_eq!(
+            reg.tally.group_objects - group_objects,
+            accepting,
+            "each object reaches only the groups whose predicate accepts it"
+        );
     }
 
     #[test]
