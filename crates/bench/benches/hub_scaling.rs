@@ -7,7 +7,7 @@
 //! fan-out loop show up here first.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sap_bench::{hub_query_mix, register_count_mix, run_hub_async, run_hub_sequential, Feed};
+use sap_bench::{hub_query_mix, on, run_hub_async, run_hub_sequential, Feed, Plane};
 use sap_stream::generators::{Dataset, Workload};
 
 const LEN: usize = 2_000;
@@ -30,9 +30,9 @@ fn bench_hub_scaling(c: &mut Criterion) {
                 &mix,
                 |b, mix| {
                     b.iter(|| {
-                        let register = |hub: &mut _| register_count_mix(hub, mix);
+                        let planned = on(mix, Plane::Isolated);
                         let feed = Feed::Plain(&data);
-                        run_hub_async(register, feed, CHUNK, 0, shards, shards, None)
+                        run_hub_async(&planned, feed, CHUNK, 0, shards, shards, None)
                             .0
                             .updates
                     })

@@ -23,7 +23,7 @@
 //! asserted checksum-identical to its uninterrupted reference run;
 //! `fanout` climbs a query-count ladder up to `--queries` count-based
 //! queries served two ways — isolated sessions vs the shared count
-//! plane (`register_grouped_boxed`) — asserting byte-identical
+//! plane (`Subscription::grouped`) — asserting byte-identical
 //! checksums and positive count-group hits at every rung, and reporting
 //! the per-object cost growth of both paths so the grouped path's
 //! sub-linear scaling is a committed artifact (`BENCH_fanout.json`):
@@ -43,16 +43,16 @@
 
 use sap_bench::{
     cands, fanout_query_mix, hotpath_query_mix, hub_checksum_fold, hub_query_mix, measure_on,
-    mem_kb, prune_query_mix, prune_stream, register_count_mix, register_grouped_mix,
-    register_hotpath_mix, register_shared_mix, register_timed_mix, run_fanout_grouped,
-    run_fanout_isolated, run_floor, run_hotpath, run_hub_async, run_hub_sequential, run_prune,
-    run_shared_hub, run_shared_isolated, run_timed_hub_sequential, secs, shared_query_mix,
+    mem_kb, on, prune_query_mix, prune_stream, register_mix, run_fanout, run_floor, run_hotpath,
+    run_hub_async, run_hub_sequential, run_prune, run_timed, secs, shared_query_mix,
     timed_query_mix, Algo, BenchEngineFactory, CountingAlloc, FanoutRun, Feed, FloorArm, FloorRun,
-    HotpathMode, HotpathRun, HubRun, PruneArm, PruneRun, Table,
+    HotpathMode, HotpathRun, HubRun, Plane, PruneArm, PruneRun, Table,
 };
 use sap_core::{Sap, SapConfig};
 use sap_stream::generators::{ArrivalProcess, Dataset, Workload};
-use sap_stream::{run, AsyncHub, Hub, RunSummary, WindowSpec, CHECKSUM_SEED};
+use sap_stream::{
+    run, AsyncHub, Hub, Predicate, QuerySpec, RunSummary, ServingConfig, WindowSpec, CHECKSUM_SEED,
+};
 
 /// The measurement half of the `hotpath` preset: every allocation in the
 /// process ticks this counter, so steady-state `allocs_per_object` is a
@@ -361,19 +361,19 @@ fn hub(len: usize, queries: usize, shards: &[usize], json_out: &str, seed: u64) 
     let chunk = 1_000usize; // publish granularity = drain granularity
     let data = Dataset::Stock.generate(len, seed);
     let mix = hub_query_mix(queries);
+    let planned = on(&mix, Plane::Isolated);
     let mut cases = vec![BenchCase {
         label: "sequential",
         shards: 1,
         run: Box::new(|| run_hub_sequential(&mix, &data, chunk)),
     }];
-    let (mix_ref, data_ref) = (&mix, &data);
+    let (planned, data_ref) = (&planned, &data);
     for &n in shards {
         cases.push(BenchCase {
             label: "async",
             shards: n,
             run: Box::new(move || {
-                let register = |hub: &mut AsyncHub| register_count_mix(hub, mix_ref);
-                run_hub_async(register, Feed::Plain(data_ref), chunk, 0, n, n, None).0
+                run_hub_async(planned, Feed::Plain(data_ref), chunk, 0, n, n, None).0
             }),
         });
     }
@@ -434,10 +434,10 @@ fn async_bench(len: usize, queries: usize, json_out: &str, seed: u64, repeats: u
             b
         }
     };
+    let planned = on(&mix, Plane::Isolated);
     let run_async = |workers: usize| {
-        let register = |hub: &mut AsyncHub| register_count_mix(hub, &mix);
         let (run, stats) = run_hub_async(
-            register,
+            &planned,
             Feed::Plain(&data),
             chunk,
             0,
@@ -464,7 +464,7 @@ fn async_bench(len: usize, queries: usize, json_out: &str, seed: u64, repeats: u
     assert!(len > warmup, "async preset needs --len > {warmup}");
     let steady_allocs = {
         let mut hub = AsyncHub::new(logical_shards, 1);
-        register_count_mix(&mut hub, &mix);
+        register_mix(&mut hub, &planned);
         for c in data[..warmup].chunks(chunk) {
             hub.publish(c).expect("bench mix");
             hub.drain().expect("bench mix");
@@ -646,9 +646,7 @@ fn checkpoint_bench(
         let reference = run_hub_sequential(&mix, &data, chunk);
 
         let mut hub = Hub::new();
-        for (algo, spec) in &mix {
-            hub.register_boxed(algo.build(*spec));
-        }
+        register_mix(&mut hub, &on(&mix, Plane::Isolated));
         let mut updates = 0u64;
         let mut checksum = CHECKSUM_SEED;
         for c in data[..warm].chunks(chunk) {
@@ -705,7 +703,7 @@ fn checkpoint_bench(
     let reference = full_reference.expect("ladder is non-empty");
     let mix = hub_query_mix(queries);
     let mut hub = AsyncHub::new(nshards, nshards);
-    register_count_mix(&mut hub, &mix);
+    register_mix(&mut hub, &on(&mix, Plane::Isolated));
     let mut updates = 0u64;
     let mut checksum = CHECKSUM_SEED;
     for c in data[..warm].chunks(chunk) {
@@ -855,13 +853,13 @@ fn fanout(len: usize, queries: usize, shards: &[usize], json_out: &str, seed: u6
     let mut top_reference: Option<FanoutRun> = None;
     for &count in &ladder {
         let mix = fanout_query_mix(count);
-        let iso = run_fanout_isolated(&mix, &data, chunk);
+        let iso = run_fanout(&on(&mix, Plane::Isolated), &data, chunk);
         let iso_ops = iso.run.objects_per_sec(len);
         assert_eq!(
             iso.stats.count_group_rebuilds, iso.run.updates,
             "[fanout] every isolated count slide is a rebuild"
         );
-        let grp = run_fanout_grouped(&mix, &data, chunk);
+        let grp = run_fanout(&on(&mix, Plane::Grouped(Predicate::any())), &data, chunk);
         assert_eq!(
             grp.run.updates, iso.run.updates,
             "[fanout] grouped plane delivered a different number of updates at {count} queries"
@@ -900,9 +898,8 @@ fn fanout(len: usize, queries: usize, shards: &[usize], json_out: &str, seed: u6
     let reference = top_reference.expect("ladder is non-empty");
     let count = *ladder.last().expect("ladder is non-empty");
     let mix = fanout_query_mix(count);
-    let register = |hub: &mut AsyncHub| register_grouped_mix(hub, &mix);
     let (run, stats) = run_hub_async(
-        register,
+        &on(&mix, Plane::Grouped(Predicate::any())),
         Feed::Plain(&data),
         chunk,
         0,
@@ -1246,19 +1243,19 @@ fn timed(len: usize, queries: usize, shards: &[usize], json_out: &str, seed: u64
     let chunk = 1_000usize;
     let data = Dataset::Stock.generate_timed(len, seed, ArrivalProcess::poisson(25.0));
     let mix = timed_query_mix(queries);
+    let planned = on(&mix, Plane::Isolated);
     let mut cases = vec![BenchCase {
         label: "sequential",
         shards: 1,
-        run: Box::new(|| run_timed_hub_sequential(&mix, &data, chunk)),
+        run: Box::new(|| run_timed(ServingConfig::default(), &planned, &data, chunk).0),
     }];
-    let (mix_ref, data_ref) = (&mix, &data);
+    let (planned, data_ref) = (&planned, &data);
     for &n in shards {
         cases.push(BenchCase {
             label: "async",
             shards: n,
             run: Box::new(move || {
-                let register = |hub: &mut AsyncHub| register_timed_mix(hub, mix_ref);
-                run_hub_async(register, Feed::Timed(data_ref), chunk, 0, n, n, None).0
+                run_hub_async(planned, Feed::Timed(data_ref), chunk, 0, n, n, None).0
             }),
         });
     }
@@ -1287,27 +1284,28 @@ fn shared(len: usize, queries: usize, shards: &[usize], json_out: &str, seed: u6
     let chunk = 1_000usize;
     let data = Dataset::Stock.generate_timed(len, seed, ArrivalProcess::poisson(25.0));
     let mix = shared_query_mix(queries);
+    let isolated = on(&mix, Plane::Isolated);
+    let planned = on(&mix, Plane::Shared(Predicate::any()));
     let sds: std::collections::BTreeSet<u64> = mix.iter().map(|(_, s)| s.slide_duration).collect();
     let mut cases = vec![
         BenchCase {
             label: "isolated",
             shards: 1,
-            run: Box::new(|| run_shared_isolated(&mix, &data, chunk)),
+            run: Box::new(|| run_timed(ServingConfig::default(), &isolated, &data, chunk).0),
         },
         BenchCase {
             label: "shared",
             shards: 1,
-            run: Box::new(|| run_shared_hub(&mix, &data, chunk)),
+            run: Box::new(|| run_timed(ServingConfig::default(), &planned, &data, chunk).0),
         },
     ];
-    let (mix_ref, data_ref) = (&mix, &data);
+    let (planned, data_ref) = (&planned, &data);
     for &n in shards {
         cases.push(BenchCase {
             label: "shared-async",
             shards: n,
             run: Box::new(move || {
-                let register = |hub: &mut AsyncHub| register_shared_mix(hub, mix_ref);
-                run_hub_async(register, Feed::Timed(data_ref), chunk, 0, n, n, None).0
+                run_hub_async(planned, Feed::Timed(data_ref), chunk, 0, n, n, None).0
             }),
         });
     }
@@ -1373,23 +1371,18 @@ fn hotpath(
     // attribute allocs_per_object to a path); the default mixed set is
     // the headline preset
     let flavor = mix_filter.unwrap_or("all");
-    let mix: Vec<sap_bench::HotQuery> = hotpath_query_mix(queries * 9)
+    let mix: Vec<sap_bench::Planned> = hotpath_query_mix(queries * 9)
         .into_iter()
-        .filter(|q| {
+        .filter(|(_, spec, plane)| {
             flavor == "all"
                 || matches!(
-                    (q, flavor),
-                    (sap_bench::HotQuery::Count(..), "count")
-                        | (sap_bench::HotQuery::Timed(..), "timed")
-                        | (sap_bench::HotQuery::Shared(..), "shared")
+                    (spec, plane, flavor),
+                    (QuerySpec::Count(_), _, "count")
+                        | (QuerySpec::Timed(_), Plane::Isolated, "timed")
+                        | (QuerySpec::Timed(_), Plane::Shared(_), "shared")
                 )
         })
-        .filter(|q| {
-            let (sap_bench::HotQuery::Count(a, _)
-            | sap_bench::HotQuery::Timed(a, _)
-            | sap_bench::HotQuery::Shared(a, _)) = q;
-            algo_filter.is_none_or(|want| a.label() == want)
-        })
+        .filter(|(algo, ..)| algo_filter.is_none_or(|want| algo.label() == want))
         .take(queries)
         .collect();
     assert_eq!(
@@ -1457,8 +1450,7 @@ fn hotpath(
     // not attributed, since worker threads share the global counter
     let mut parallel_runs: Vec<(usize, HotpathRun)> = Vec::new();
     for &n in shards {
-        let register = |hub: &mut AsyncHub| register_hotpath_mix(hub, &mix);
-        let (par, _) = run_hub_async(register, Feed::Timed(&data), chunk, warmup, n, n, None);
+        let (par, _) = run_hub_async(&mix, Feed::Timed(&data), chunk, warmup, n, n, None);
         assert_eq!(
             par.checksum, pooled.checksum,
             "[hotpath] async({n}) diverged from the sequential hub"

@@ -17,7 +17,8 @@ use sap_stream::generators::{Dataset, Workload};
 use sap_stream::{
     checksum_fold, diff_snapshots, run, AsyncHub, EngineFactory, FifoScheduler, Hub, HubStats,
     Object, Predicate, QueryId, QuerySpec, QueryUpdate, RunSummary, SapError, Scheduler,
-    SeededScheduler, SlidingTopK, TimedObject, TimedSpec, TimedTopK, WindowSpec, CHECKSUM_SEED,
+    SeededScheduler, ServingConfig, ShardSubscription, SlidingTopK, Subscription, TimedObject,
+    TimedSpec, TimedTopK, WindowSpec, CHECKSUM_SEED,
 };
 
 mod alloc;
@@ -123,6 +124,95 @@ pub fn measure(algo: Algo, ds: Dataset, len: usize, spec: WindowSpec, seed: u64)
 pub fn measure_on(algo: Algo, data: &[sap_stream::Object], spec: WindowSpec) -> RunSummary {
     let mut alg = algo.build(spec);
     run(alg.as_mut(), data)
+}
+
+/// The plane a bench query is served on.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Plane {
+    /// An isolated session: a count-based engine, or a time-based one
+    /// wrapped in the Appendix-A [`TimeBased`] adapter.
+    Isolated,
+    /// The shared digest plane (time-based queries), with a subscription
+    /// predicate.
+    Shared(Predicate),
+    /// The shared count plane (count-based queries), with a subscription
+    /// predicate.
+    Grouped(Predicate),
+}
+
+/// One standing bench query: the algorithm, its window, and the plane
+/// that serves it.
+pub type Planned = (Algo, QuerySpec, Plane);
+
+/// Serves every query of a mix on one plane.
+pub fn on<S: Into<QuerySpec> + Copy>(mix: &[(Algo, S)], plane: Plane) -> Vec<Planned> {
+    mix.iter()
+        .map(|&(algo, spec)| (algo, spec.into(), plane))
+        .collect()
+}
+
+/// Builds the [`Subscription`] serving one planned query — the one place
+/// the harness constructs engines for a hub, the sharing planes'
+/// reduced `⟨(n/s)·k, k, k⟩` spec included.
+///
+/// # Panics
+///
+/// On a plane that does not serve the spec's window model (a count
+/// query on the digest plane, a timed one on the count plane) or an
+/// invalid mix spec — both harness bugs.
+fn subscription((algo, spec, plane): Planned) -> ShardSubscription {
+    match (spec, plane) {
+        (QuerySpec::Count(spec), Plane::Isolated) => Subscription::count(algo.build(spec)),
+        (QuerySpec::Timed(spec), Plane::Isolated) => {
+            let inner = algo.build(spec.reduced().expect("mix spec is valid"));
+            Subscription::timed(Box::new(
+                TimeBased::from_engine(inner, spec.window_duration, spec.slide_duration)
+                    .expect("reduced spec matches by construction"),
+            ))
+        }
+        (QuerySpec::Timed(spec), Plane::Shared(predicate)) => Subscription::shared(
+            algo.build(spec.reduced().expect("mix spec is valid")),
+            spec.window_duration,
+            spec.slide_duration,
+            predicate,
+        )
+        .expect("engine built over the reduced spec"),
+        (QuerySpec::Count(spec), Plane::Grouped(predicate)) => {
+            let reduced = TimedSpec::new(spec.n as u64, spec.s as u64, spec.k)
+                .and_then(|t| t.reduced())
+                .expect("mix spec reduces");
+            Subscription::grouped(algo.build(reduced), spec.n, spec.s, predicate)
+                .expect("engine built over the reduced spec")
+        }
+        (spec, plane) => panic!("{plane:?} does not serve {spec:?}"),
+    }
+}
+
+/// Either hub, as a registration target for [`register_mix`].
+pub trait BenchHub {
+    /// Registers one subscription and returns its handle.
+    fn subscribe(&mut self, sub: ShardSubscription) -> QueryId;
+}
+
+impl BenchHub for Hub {
+    fn subscribe(&mut self, sub: ShardSubscription) -> QueryId {
+        self.register_engine(sub.into())
+    }
+}
+
+impl BenchHub for AsyncHub {
+    fn subscribe(&mut self, sub: ShardSubscription) -> QueryId {
+        self.register_engine(sub)
+            .expect("no engine panics in the bench mix")
+    }
+}
+
+/// Registers every planned query on either hub, returning the handles
+/// in mix order.
+pub fn register_mix(hub: &mut impl BenchHub, mix: &[Planned]) -> Vec<QueryId> {
+    mix.iter()
+        .map(|&q| hub.subscribe(subscription(q)))
+        .collect()
 }
 
 /// Simple fixed-width table printer for the experiment binaries.
@@ -240,9 +330,7 @@ pub fn hub_checksum_fold(acc: u64, update: &QueryUpdate) -> u64 {
 /// `chunk` objects, timing the publish loop.
 pub fn run_hub_sequential(mix: &[(Algo, WindowSpec)], data: &[Object], chunk: usize) -> HubRun {
     let mut hub = Hub::new();
-    for (algo, spec) in mix {
-        hub.register_boxed(algo.build(*spec));
-    }
+    register_mix(&mut hub, &on(mix, Plane::Isolated));
     let mut updates = 0u64;
     let mut checksum = CHECKSUM_SEED;
     let started = Instant::now();
@@ -289,7 +377,7 @@ impl Feed<'_> {
 }
 
 /// Serves `feed` on an [`AsyncHub`] with `shards` logical shards and
-/// `workers` worker threads, after `register` installed the query mix:
+/// `workers` worker threads, after registering `mix`:
 /// `AsyncHub::new(n, n)` is the one-worker-per-shard configuration, and
 /// `seed` selects a [`SeededScheduler`] (schedule-fuzzed runs) instead of
 /// the production [`FifoScheduler`]. Publishes in chunks of `chunk`
@@ -302,7 +390,7 @@ impl Feed<'_> {
 /// plus the hub's final [`HubStats`] — sharing counters and
 /// `publisher_parks`, the non-blocking-publish evidence.
 pub fn run_hub_async(
-    register: impl FnOnce(&mut AsyncHub),
+    mix: &[Planned],
     feed: Feed<'_>,
     chunk: usize,
     warmup: usize,
@@ -315,7 +403,7 @@ pub fn run_hub_async(
         None => Box::new(FifoScheduler),
     };
     let mut hub = AsyncHub::with_scheduler(shards, workers, scheduler);
-    register(&mut hub);
+    register_mix(&mut hub, mix);
     let mut updates = 0u64;
     let mut checksum = CHECKSUM_SEED;
     let mut fold = |hub: &mut AsyncHub| {
@@ -353,14 +441,6 @@ pub fn run_hub_async(
     (run, stats)
 }
 
-/// Registers a count-based mix ([`hub_query_mix`]) on a parallel hub —
-/// the [`run_hub_async`] setup of the `hub` and `async` presets.
-pub fn register_count_mix(hub: &mut AsyncHub, mix: &[(Algo, WindowSpec)]) {
-    for (algo, spec) in mix {
-        hub.register_boxed(algo.build(*spec)).expect("fresh shards");
-    }
-}
-
 /// Heterogeneous **mixed-model** query set for the timed hub bench:
 /// entries alternate between count-based geometries (the
 /// [`hub_query_mix`] shapes) and time-based geometries whose slide
@@ -388,37 +468,21 @@ pub fn timed_query_mix(count: usize) -> Vec<(Algo, QuerySpec)> {
         .collect()
 }
 
-/// Instantiates one mixed-model query: time-based specs get the
-/// algorithm wrapped in the Appendix-A [`TimeBased`] adapter over the
-/// reduced spec.
-fn build_timed_entry(algo: Algo, spec: TimedSpec) -> Box<dyn TimedTopK + Send> {
-    let inner = algo.build(spec.reduced().expect("mix spec is valid"));
-    Box::new(
-        TimeBased::from_engine(inner, spec.window_duration, spec.slide_duration)
-            .expect("reduced spec matches by construction"),
-    )
-}
-
-/// Publishes a timed stream to a sequential [`Hub`] serving a mixed
-/// count+timed `mix`, in chunks of `chunk` objects, closing trailing
-/// slides with a final watermark. Timing covers the full publish loop.
-pub fn run_timed_hub_sequential(
-    mix: &[(Algo, QuerySpec)],
+/// Publishes a timed stream to a sequential [`Hub`] built with `config`
+/// and serving `mix`, in chunks of `chunk` objects, closing trailing
+/// slides with a final watermark. Timing covers the full publish loop;
+/// the run records the hub's digest hit/rebuild counters, and the hub's
+/// final stats come back alongside. Checksums are comparable across
+/// planes and configs over the same inputs — equal iff the sharing
+/// planes are byte-identical to isolated per-session recomputation.
+pub fn run_timed(
+    config: ServingConfig,
+    mix: &[Planned],
     data: &[TimedObject],
     chunk: usize,
-) -> HubRun {
-    let mut hub = Hub::new();
-    for (algo, spec) in mix {
-        match spec {
-            QuerySpec::Count(spec) => {
-                hub.register_boxed(algo.build(*spec));
-            }
-            QuerySpec::Timed(spec) => {
-                let engine: Box<dyn TimedTopK> = build_timed_entry(*algo, *spec);
-                hub.register_timed_boxed(engine);
-            }
-        }
-    }
+) -> (HubRun, HubStats) {
+    let mut hub = Hub::with_config(config);
+    register_mix(&mut hub, mix);
     let horizon = data.last().map_or(0, |o| o.timestamp) + 1;
     let mut updates = 0u64;
     let mut checksum = CHECKSUM_SEED;
@@ -433,29 +497,16 @@ pub fn run_timed_hub_sequential(
         updates += 1;
         checksum = hub_checksum_fold(checksum, &u);
     }
-    HubRun {
-        elapsed: started.elapsed(),
+    let elapsed = started.elapsed();
+    let stats = hub.stats();
+    let run = HubRun {
+        elapsed,
         updates,
         checksum,
-        digest_hits: 0,
-        digest_rebuilds: 0,
-    }
-}
-
-/// Registers a mixed count+timed mix ([`timed_query_mix`]) on a
-/// parallel hub — the [`run_hub_async`] setup of the `timed` preset.
-pub fn register_timed_mix(hub: &mut AsyncHub, mix: &[(Algo, QuerySpec)]) {
-    for (algo, spec) in mix {
-        match spec {
-            QuerySpec::Count(spec) => {
-                hub.register_boxed(algo.build(*spec)).expect("fresh shards");
-            }
-            QuerySpec::Timed(spec) => {
-                hub.register_timed_boxed(build_timed_entry(*algo, *spec))
-                    .expect("fresh shards");
-            }
-        }
-    }
+        digest_hits: stats.digest_hits,
+        digest_rebuilds: stats.digest_rebuilds,
+    };
+    (run, stats)
 }
 
 /// All-timed query mix for the shared-digest bench: `count` queries over
@@ -476,71 +527,6 @@ pub fn shared_query_mix(count: usize) -> Vec<(Algo, TimedSpec)> {
             (algos[i % algos.len()], spec)
         })
         .collect()
-}
-
-/// The per-session-recomputation reference for the shared bench: the
-/// same timed mix served by isolated Appendix-A adapters (see
-/// [`run_timed_hub_sequential`]).
-pub fn run_shared_isolated(
-    mix: &[(Algo, TimedSpec)],
-    data: &[TimedObject],
-    chunk: usize,
-) -> HubRun {
-    let isolated: Vec<(Algo, QuerySpec)> =
-        mix.iter().map(|&(a, s)| (a, QuerySpec::Timed(s))).collect();
-    run_timed_hub_sequential(&isolated, data, chunk)
-}
-
-/// Publishes a timed stream to a sequential [`Hub`] serving `mix` on the
-/// **shared digest plane** (`register_shared_boxed`): one digest producer
-/// per distinct slide duration feeds every member query. Checksums are
-/// comparable with [`run_shared_isolated`] — equal iff the plane is
-/// byte-identical to per-session recomputation — and the run records the
-/// hub's digest hit/rebuild counters.
-pub fn run_shared_hub(mix: &[(Algo, TimedSpec)], data: &[TimedObject], chunk: usize) -> HubRun {
-    let mut hub = Hub::new();
-    for (algo, spec) in mix {
-        let engine: Box<dyn SlidingTopK> = algo.build(spec.reduced().expect("mix spec is valid"));
-        hub.register_shared_boxed(engine, spec.window_duration, spec.slide_duration)
-            .expect("engine built over the reduced spec");
-    }
-    let horizon = data.last().map_or(0, |o| o.timestamp) + 1;
-    let mut updates = 0u64;
-    let mut checksum = CHECKSUM_SEED;
-    let started = Instant::now();
-    for c in data.chunks(chunk) {
-        for u in hub.publish_timed(c) {
-            updates += 1;
-            checksum = hub_checksum_fold(checksum, &u);
-        }
-    }
-    for u in hub.advance_time(horizon) {
-        updates += 1;
-        checksum = hub_checksum_fold(checksum, &u);
-    }
-    let elapsed = started.elapsed();
-    let stats = hub.stats();
-    HubRun {
-        elapsed,
-        updates,
-        checksum,
-        digest_hits: stats.digest_hits,
-        digest_rebuilds: stats.digest_rebuilds,
-    }
-}
-
-/// Registers a shared mix ([`shared_query_mix`]) on a parallel hub's
-/// digest plane — the [`run_hub_async`] setup of the `shared` preset.
-/// Slide groups stay shard-local.
-pub fn register_shared_mix(hub: &mut AsyncHub, mix: &[(Algo, TimedSpec)]) {
-    for (algo, spec) in mix {
-        hub.register_shared_boxed(
-            algo.build(spec.reduced().expect("mix spec is valid")),
-            spec.window_duration,
-            spec.slide_duration,
-        )
-        .expect("fresh shards accept valid engines");
-    }
 }
 
 /// Count-based query mix for the `fanout` preset: `count` queries over
@@ -597,11 +583,17 @@ impl FanoutRun {
     }
 }
 
-/// Shared publish loop of the sequential `fanout` runners: times every
+/// Publishes `data` to a sequential [`Hub`] serving `mix`, timing every
 /// publish call individually so quiet (no-slide) chunks can be
-/// attributed, folds the order-sensitive checksum, and reads the hub's
-/// counters back.
-fn run_fanout_on(mut hub: Hub, data: &[Object], chunk: usize) -> FanoutRun {
+/// attributed, folding the order-sensitive checksum, and reading the
+/// hub's counters back. Isolated sessions are the per-session reference;
+/// on the **shared count plane** queries sharing a window geometry
+/// ingest each object once per group and slice their `(n, k)` views from
+/// the group digest — checksums are equal iff grouping is byte-identical
+/// to per-session serving.
+pub fn run_fanout(mix: &[Planned], data: &[Object], chunk: usize) -> FanoutRun {
+    let mut hub = Hub::new();
+    register_mix(&mut hub, mix);
     let mut updates = 0u64;
     let mut checksum = CHECKSUM_SEED;
     let mut quiet_objects = 0u64;
@@ -636,48 +628,6 @@ fn run_fanout_on(mut hub: Hub, data: &[Object], chunk: usize) -> FanoutRun {
     }
 }
 
-/// The per-session reference for the `fanout` preset: the same
-/// count-based mix served by **isolated** sessions ([`Hub::register_boxed`]).
-pub fn run_fanout_isolated(mix: &[(Algo, WindowSpec)], data: &[Object], chunk: usize) -> FanoutRun {
-    let mut hub = Hub::new();
-    for (algo, spec) in mix {
-        hub.register_boxed(algo.build(*spec));
-    }
-    run_fanout_on(hub, data, chunk)
-}
-
-/// Publishes `data` to a sequential [`Hub`] serving `mix` on the
-/// **shared count plane** (`register_grouped_boxed`): queries sharing a
-/// window geometry ingest each object once per group and slice their
-/// `(n, k)` views from the group digest. The checksum is comparable
-/// with [`run_fanout_isolated`] over the same mix — equal iff grouping
-/// is byte-identical to per-session serving.
-pub fn run_fanout_grouped(mix: &[(Algo, WindowSpec)], data: &[Object], chunk: usize) -> FanoutRun {
-    let mut hub = Hub::new();
-    for (algo, spec) in mix {
-        let reduced = TimedSpec::new(spec.n as u64, spec.s as u64, spec.k)
-            .and_then(|t| t.reduced())
-            .expect("mix spec reduces");
-        let engine: Box<dyn SlidingTopK> = algo.build(reduced);
-        hub.register_grouped_boxed(engine, spec.n, spec.s)
-            .expect("engine built over the reduced spec");
-    }
-    run_fanout_on(hub, data, chunk)
-}
-
-/// Registers a count-based mix on a parallel hub's shared count plane —
-/// the [`run_hub_async`] setup of the `fanout` preset. Count groups stay
-/// shard-local.
-pub fn register_grouped_mix(hub: &mut AsyncHub, mix: &[(Algo, WindowSpec)]) {
-    for (algo, spec) in mix {
-        let reduced = TimedSpec::new(spec.n as u64, spec.s as u64, spec.k)
-            .and_then(|t| t.reduced())
-            .expect("mix spec reduces");
-        hub.register_grouped_boxed(algo.build(reduced), spec.n, spec.s)
-            .expect("fresh shards accept valid engines");
-    }
-}
-
 /// Which serving shape a `floor` preset arm exercises over one fixed
 /// window geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -686,7 +636,7 @@ pub enum FloorArm {
     /// close — the reference the checksums are anchored to.
     Isolated,
     /// Grouped with result-class pooling disabled
-    /// (`Hub::set_result_class_sharing(false)`): members share the
+    /// ([`ServingConfig::result_class_sharing`] off): members share the
     /// group's ingest but each solo class still computes its own
     /// `apply_slide_top`, diff, and snapshot per close — the
     /// pre-memoization per-member update floor.
@@ -725,8 +675,8 @@ pub struct FloorRun {
     pub close_elapsed: Duration,
     /// Objects published by calls that completed no slide.
     pub quiet_objects: u64,
-    /// Wall-clock total of those quiet publishes.
-    pub quiet_elapsed: Duration,
+    /// Per-object cost of each quiet publish, in nanoseconds.
+    pub quiet_ns: Vec<f64>,
 }
 
 impl FloorRun {
@@ -737,11 +687,19 @@ impl FloorRun {
             .then(|| self.close_elapsed.as_secs_f64() * 1e6 / (self.closes as f64 * members as f64))
     }
 
-    /// Per-object cost of the pure ingest path, like
-    /// [`FanoutRun::quiet_ns_per_object`].
+    /// Per-object cost of the pure ingest path: the **median** over the
+    /// quiet publishes of each one's ns/object, so a single scheduler
+    /// stall among the ~100 quiet publishes of a run cannot move it the
+    /// way it moves a plain sum. `None` if no publish was quiet.
     pub fn quiet_ns_per_object(&self) -> Option<f64> {
-        (self.quiet_objects > 0)
-            .then(|| self.quiet_elapsed.as_secs_f64() * 1e9 / self.quiet_objects as f64)
+        let mut sorted = self.quiet_ns.clone();
+        sorted.sort_by(f64::total_cmp);
+        let mid = sorted.len() / 2;
+        match sorted.len() {
+            0 => None,
+            len if len % 2 == 1 => Some(sorted[mid]),
+            _ => Some((sorted[mid - 1] + sorted[mid]) / 2.0),
+        }
     }
 }
 
@@ -757,30 +715,21 @@ pub fn run_floor(
     chunk: usize,
     arm: FloorArm,
 ) -> FloorRun {
-    let mut hub = Hub::new();
-    if arm == FloorArm::Unclassed {
-        hub.set_result_class_sharing(false);
-    }
-    for _ in 0..members {
-        match arm {
-            FloorArm::Isolated => {
-                hub.register_boxed(Algo::Sap.build(spec));
-            }
-            FloorArm::Unclassed | FloorArm::Classed => {
-                let reduced = TimedSpec::new(spec.n as u64, spec.s as u64, spec.k)
-                    .and_then(|t| t.reduced())
-                    .expect("floor spec reduces");
-                hub.register_grouped_boxed(Algo::Sap.build(reduced), spec.n, spec.s)
-                    .expect("engine built over the reduced spec");
-            }
-        }
-    }
+    let mut hub = Hub::with_config(ServingConfig {
+        result_class_sharing: arm != FloorArm::Unclassed,
+        ..ServingConfig::default()
+    });
+    let plane = match arm {
+        FloorArm::Isolated => Plane::Isolated,
+        FloorArm::Unclassed | FloorArm::Classed => Plane::Grouped(Predicate::any()),
+    };
+    register_mix(&mut hub, &vec![(Algo::Sap, spec.into(), plane); members]);
     let mut updates = 0u64;
     let mut checksum = CHECKSUM_SEED;
     let mut closes = 0u64;
     let mut close_elapsed = Duration::ZERO;
     let mut quiet_objects = 0u64;
-    let mut quiet_elapsed = Duration::ZERO;
+    let mut quiet_ns = Vec::new();
     let started = Instant::now();
     for c in data.chunks(chunk) {
         let before = Instant::now();
@@ -788,7 +737,7 @@ pub fn run_floor(
         let took = before.elapsed();
         if batch.is_empty() {
             quiet_objects += c.len() as u64;
-            quiet_elapsed += took;
+            quiet_ns.push(took.as_secs_f64() * 1e9 / c.len() as f64);
         } else {
             closes += 1;
             close_elapsed += took;
@@ -812,7 +761,7 @@ pub fn run_floor(
         closes,
         close_elapsed,
         quiet_objects,
-        quiet_elapsed,
+        quiet_ns,
     }
 }
 
@@ -820,7 +769,8 @@ pub fn run_floor(
 /// shared-timed-plane workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PruneArm {
-    /// Admission pruning disabled (`Hub::set_admission_pruning(false)`):
+    /// Admission pruning disabled ([`ServingConfig::admission_pruning`]
+    /// off):
     /// every predicate-passing object is buffered into its group's open
     /// slide — the reference the checksums are anchored to.
     Off,
@@ -911,73 +861,28 @@ pub fn run_prune(
     chunk: usize,
     arm: PruneArm,
 ) -> PruneRun {
-    let mut hub = Hub::new();
-    if arm == PruneArm::Off {
-        hub.set_admission_pruning(false);
-    }
+    let config = ServingConfig {
+        admission_pruning: arm != PruneArm::Off,
+        ..ServingConfig::default()
+    };
     let predicate = match arm {
         PruneArm::DominancePredicate => Predicate::any().score_at_least(500.0),
         _ => Predicate::any(),
     };
-    for (algo, spec) in mix {
-        hub.register_shared_filtered_boxed(
-            algo.build(spec.reduced().expect("mix spec is valid")),
-            spec.window_duration,
-            spec.slide_duration,
-            predicate,
-        )
-        .expect("engine built over the reduced spec");
-    }
-    let horizon = data.last().map_or(0, |o| o.timestamp) + 1;
-    let mut updates = 0u64;
-    let mut checksum = CHECKSUM_SEED;
-    let started = Instant::now();
-    for c in data.chunks(chunk) {
-        for u in hub.publish_timed(c) {
-            updates += 1;
-            checksum = hub_checksum_fold(checksum, &u);
-        }
-    }
-    for u in hub.advance_time(horizon) {
-        updates += 1;
-        checksum = hub_checksum_fold(checksum, &u);
-    }
-    let elapsed = started.elapsed();
-    let stats = hub.stats();
-    PruneRun {
-        run: HubRun {
-            elapsed,
-            updates,
-            checksum,
-            digest_hits: stats.digest_hits,
-            digest_rebuilds: stats.digest_rebuilds,
-        },
-        stats,
-    }
-}
-
-/// One standing query of the `hotpath` preset's **mixed-model** set:
-/// count-based, isolated time-based, or shared-plane time-based — the
-/// three session flavors whose slide-completion paths the zero-allocation
-/// refactor touches.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum HotQuery {
-    /// A count-based session (`AnySession::Count`).
-    Count(Algo, WindowSpec),
-    /// An isolated Appendix-A adapter session (`AnySession::Timed`).
-    Timed(Algo, TimedSpec),
-    /// A shared-digest-plane session (`AnySession::Shared`).
-    Shared(Algo, TimedSpec),
+    let (run, stats) = run_timed(config, &on(mix, Plane::Shared(predicate)), data, chunk);
+    PruneRun { run, stats }
 }
 
 /// Mixed count/timed/shared query set for the `hotpath` preset, cycling
-/// evenly through the three session flavors. Count geometries use small
+/// evenly through the three session flavors whose slide-completion paths
+/// the zero-allocation refactor touches: count-based, isolated
+/// time-based, and shared-plane time-based. Count geometries use small
 /// slides (`s ∈ {10, 20, 50}`) and small `k`, so slide completion — the
 /// path the allocation discipline targets — fires densely; timed slide
 /// durations straddle a few multiples of the generated stream's ~25-unit
 /// mean gap; shared entries use two distinct slide durations so digest
 /// groups actually form.
-pub fn hotpath_query_mix(count: usize) -> Vec<HotQuery> {
+pub fn hotpath_query_mix(count: usize) -> Vec<Planned> {
     let algos = [Algo::Sap, Algo::MinTopK, Algo::KSkyband];
     (0..count)
         .map(|i| {
@@ -987,28 +892,22 @@ pub fn hotpath_query_mix(count: usize) -> Vec<HotQuery> {
                     let s = [5usize, 10, 20][(i / 3) % 3];
                     let m = [4usize, 8, 16][(i / 9) % 3];
                     let k = 1 + (i % 3);
-                    HotQuery::Count(
-                        algo,
-                        WindowSpec::new(s * m, k, s).expect("mix spec is valid"),
-                    )
+                    let spec = WindowSpec::new(s * m, k, s).expect("mix spec is valid");
+                    (algo, spec.into(), Plane::Isolated)
                 }
                 1 => {
                     let sd = [50u64, 100, 200][(i / 3) % 3];
                     let m = [4u64, 8][(i / 9) % 2];
                     let k = 1 + (i % 5);
-                    HotQuery::Timed(
-                        algo,
-                        TimedSpec::new(sd * m, sd, k).expect("mix spec is valid"),
-                    )
+                    let spec = TimedSpec::new(sd * m, sd, k).expect("mix spec is valid");
+                    (algo, spec.into(), Plane::Isolated)
                 }
                 _ => {
                     let sd = [400u64, 800][(i / 3) % 2];
                     let m = [2u64, 4][(i / 9) % 2];
                     let k = 1 + (i % 10);
-                    HotQuery::Shared(
-                        algo,
-                        TimedSpec::new(sd * m, sd, k).expect("mix spec is valid"),
-                    )
+                    let spec = TimedSpec::new(sd * m, sd, k).expect("mix spec is valid");
+                    (algo, spec.into(), Plane::Shared(Predicate::any()))
                 }
             }
         })
@@ -1035,35 +934,20 @@ enum LegacyFlavor {
     Shared,
 }
 
-fn register_hotpath_sequential(hub: &mut Hub, mix: &[HotQuery]) -> HashMap<QueryId, LegacyFlavor> {
-    let mut flavors = HashMap::new();
-    for q in mix {
-        let (id, flavor) = match *q {
-            HotQuery::Count(algo, spec) => (
-                hub.register_boxed(algo.build(spec)),
+impl LegacyFlavor {
+    fn of((algo, spec, plane): Planned) -> LegacyFlavor {
+        match (spec, plane) {
+            (QuerySpec::Count(_), _) => {
                 if matches!(algo, Algo::Sap | Algo::SapDynamic | Algo::SapEqual) {
                     LegacyFlavor::CountSap
                 } else {
                     LegacyFlavor::Count
-                },
-            ),
-            HotQuery::Timed(algo, spec) => {
-                let engine: Box<dyn TimedTopK> = build_timed_entry(algo, spec);
-                (hub.register_timed_boxed(engine), LegacyFlavor::Timed)
+                }
             }
-            HotQuery::Shared(algo, spec) => (
-                hub.register_shared_boxed(
-                    algo.build(spec.reduced().expect("mix spec is valid")),
-                    spec.window_duration,
-                    spec.slide_duration,
-                )
-                .expect("engine built over the reduced spec"),
-                LegacyFlavor::Shared,
-            ),
-        };
-        flavors.insert(id, flavor);
+            (QuerySpec::Timed(_), Plane::Isolated) => LegacyFlavor::Timed,
+            (QuerySpec::Timed(_), _) => LegacyFlavor::Shared,
+        }
     }
-    flavors
 }
 
 /// Which per-update cost model a [`run_hotpath`] case charges.
@@ -1232,10 +1116,10 @@ impl LegacyReplay {
 /// the remainder — plus the final watermark — is timed, with the heap
 /// pressure read from `allocations` (the caller's counting global
 /// allocator). Checksums cover the whole stream and are comparable
-/// across modes and with the parallel cross-check
-/// ([`register_hotpath_mix`]).
+/// across modes and with the parallel cross-check ([`run_hub_async`]
+/// over the same mix).
 pub fn run_hotpath(
-    mix: &[HotQuery],
+    mix: &[Planned],
     data: &[TimedObject],
     chunk: usize,
     warmup: usize,
@@ -1243,7 +1127,11 @@ pub fn run_hotpath(
     allocations: &dyn Fn() -> u64,
 ) -> HotpathRun {
     let mut hub = Hub::new();
-    let flavors = register_hotpath_sequential(&mut hub, mix);
+    let ids = register_mix(&mut hub, mix);
+    let flavors = ids
+        .into_iter()
+        .zip(mix.iter().map(|&q| LegacyFlavor::of(q)))
+        .collect();
     let horizon = data.last().map_or(0, |o| o.timestamp) + 1;
     let mut legacy = match mode {
         HotpathMode::Legacy => Some(LegacyReplay::new(flavors)),
@@ -1296,31 +1184,6 @@ pub fn run_hotpath(
         checksum,
         digest_hits: stats.digest_hits,
         digest_rebuilds: stats.digest_rebuilds,
-    }
-}
-
-/// Registers a hotpath mix ([`hotpath_query_mix`]) on a parallel hub —
-/// the [`run_hub_async`] setup of the `hotpath` preset's cross-check,
-/// whose whole-stream checksum must equal the sequential runs'.
-pub fn register_hotpath_mix(hub: &mut AsyncHub, mix: &[HotQuery]) {
-    for q in mix {
-        match *q {
-            HotQuery::Count(algo, spec) => {
-                hub.register_boxed(algo.build(spec)).expect("fresh shards");
-            }
-            HotQuery::Timed(algo, spec) => {
-                hub.register_timed_boxed(build_timed_entry(algo, spec))
-                    .expect("fresh shards");
-            }
-            HotQuery::Shared(algo, spec) => {
-                hub.register_shared_boxed(
-                    algo.build(spec.reduced().expect("mix spec is valid")),
-                    spec.window_duration,
-                    spec.slide_duration,
-                )
-                .expect("fresh shards accept valid engines");
-            }
-        }
     }
 }
 
@@ -1386,7 +1249,7 @@ mod tests {
         assert!(seq.objects_per_sec(data.len()).is_finite());
         for shards in [1, 2, 4] {
             let (par, _) = run_hub_async(
-                |hub| register_count_mix(hub, &mix),
+                &on(&mix, Plane::Isolated),
                 Feed::Plain(&data),
                 250,
                 0,
@@ -1406,11 +1269,17 @@ mod tests {
         assert!(mix.iter().any(|(_, s)| matches!(s, QuerySpec::Timed(_))));
         assert!(mix.iter().any(|(_, s)| matches!(s, QuerySpec::Count(_))));
         let data = Dataset::Stock.generate_timed(3_000, 11, ArrivalProcess::poisson(8.0));
-        let seq = run_timed_hub_sequential(&mix, &data, 250);
+        let seq = run_timed(
+            ServingConfig::default(),
+            &on(&mix, Plane::Isolated),
+            &data,
+            250,
+        )
+        .0;
         assert!(seq.updates > 0);
         for shards in [1, 2, 4] {
             let (par, _) = run_hub_async(
-                |hub| register_timed_mix(hub, &mix),
+                &on(&mix, Plane::Isolated),
                 Feed::Timed(&data),
                 250,
                 0,
@@ -1427,9 +1296,13 @@ mod tests {
     fn hotpath_modes_and_hubs_agree() {
         use sap_stream::ArrivalProcess;
         let mix = hotpath_query_mix(30);
-        assert!(mix.iter().any(|q| matches!(q, HotQuery::Count(..))));
-        assert!(mix.iter().any(|q| matches!(q, HotQuery::Timed(..))));
-        assert!(mix.iter().any(|q| matches!(q, HotQuery::Shared(..))));
+        for flavor in [
+            LegacyFlavor::Count,
+            LegacyFlavor::Timed,
+            LegacyFlavor::Shared,
+        ] {
+            assert!(mix.iter().any(|&q| LegacyFlavor::of(q) == flavor));
+        }
         let data = Dataset::Stock.generate_timed(4_000, 11, ArrivalProcess::poisson(25.0));
         // no counting allocator installed here: the counter input only
         // feeds the reported metric, not the run itself
@@ -1445,15 +1318,8 @@ mod tests {
         );
         assert_eq!(legacy.updates, pooled.updates);
         for shards in [1, 2] {
-            let (par, _) = run_hub_async(
-                |hub| register_hotpath_mix(hub, &mix),
-                Feed::Timed(&data),
-                250,
-                1_000,
-                shards,
-                shards,
-                None,
-            );
+            let (par, _) =
+                run_hub_async(&mix, Feed::Timed(&data), 250, 1_000, shards, shards, None);
             assert_eq!(par.checksum, pooled.checksum, "shards={shards}");
             assert_eq!(par.updates, pooled.updates, "shards={shards}");
         }
@@ -1465,7 +1331,7 @@ mod tests {
         let data = Dataset::Stock.generate(3_000, 11);
         // chunk 125 halves the smallest slide (250), so every other
         // publish is quiet and the quiet-path split has data
-        let iso = run_fanout_isolated(&mix, &data, 125);
+        let iso = run_fanout(&on(&mix, Plane::Isolated), &data, 125);
         assert!(iso.run.updates > 0);
         assert!(
             iso.quiet_objects > 0,
@@ -1476,7 +1342,7 @@ mod tests {
             iso.stats.count_group_rebuilds, iso.run.updates,
             "every isolated count slide is a rebuild"
         );
-        let grp = run_fanout_grouped(&mix, &data, 125);
+        let grp = run_fanout(&on(&mix, Plane::Grouped(Predicate::any())), &data, 125);
         assert_eq!(grp.run.updates, iso.run.updates);
         assert_eq!(
             grp.run.checksum, iso.run.checksum,
@@ -1495,7 +1361,7 @@ mod tests {
         );
         for shards in [1, 2, 4] {
             let (par, stats) = run_hub_async(
-                |hub| register_grouped_mix(hub, &mix),
+                &on(&mix, Plane::Grouped(Predicate::any())),
                 Feed::Plain(&data),
                 125,
                 0,
@@ -1514,10 +1380,12 @@ mod tests {
         use sap_stream::ArrivalProcess;
         let mix = shared_query_mix(25);
         let data = Dataset::Stock.generate_timed(3_000, 11, ArrivalProcess::poisson(25.0));
-        let iso = run_shared_isolated(&mix, &data, 250);
+        let config = ServingConfig::default();
+        let iso = run_timed(config, &on(&mix, Plane::Isolated), &data, 250).0;
         assert!(iso.updates > 0);
         assert_eq!(iso.digest_hits, 0, "isolated adapters never share");
-        let shared = run_shared_hub(&mix, &data, 250);
+        let planned = on(&mix, Plane::Shared(Predicate::any()));
+        let shared = run_timed(config, &planned, &data, 250).0;
         assert_eq!(shared.updates, iso.updates);
         assert_eq!(
             shared.checksum, iso.checksum,
@@ -1530,7 +1398,7 @@ mod tests {
         assert_eq!(shared.digest_rebuilds, 0, "all registered up front");
         for shards in [1, 2, 4] {
             let (par, _) = run_hub_async(
-                |hub| register_shared_mix(hub, &mix),
+                &on(&mix, Plane::Shared(Predicate::any())),
                 Feed::Timed(&data),
                 250,
                 0,

@@ -28,7 +28,7 @@
 //! re-exported here.
 //!
 //! The adapter implements [`TimedTopK`], which is what plugs it into the
-//! session layer: `TimedSession`, `Hub::register_timed_boxed`, and the
+//! session layer: `TimedSession`, `Subscription::timed`, and the
 //! parallel `AsyncHub` all speak that trait, so a time-based query built from
 //! `Query::window_duration(..)` rides the same event/delta machinery as
 //! the count-based ones.

@@ -39,7 +39,7 @@
 //! ```
 //! use sap_stream::checkpoint::{CheckpointState, EngineFactory};
 //! use sap_stream::session::Hub;
-//! use sap_stream::{Ingest, Object, SapError, SlidingTopK, TimedSpec, TimedTopK, WindowSpec};
+//! use sap_stream::{Ingest, Object, SapError, SlidingTopK, Subscription, TimedSpec, TimedTopK, WindowSpec};
 //! # use sap_stream::metrics::OpStats;
 //! # use sap_stream::object::top_k_of;
 //! # struct Toy { spec: WindowSpec, window: Vec<Object>, result: Vec<Object> }
@@ -73,7 +73,8 @@
 //! # }
 //! let mut hub = Hub::new();
 //! let spec = WindowSpec::new(4, 2, 2).unwrap();
-//! let q = hub.register_boxed(Box::new(Toy::new(spec)));
+//! let engine: Box<dyn SlidingTopK> = Box::new(Toy::new(spec));
+//! let q = hub.register_engine(Subscription::count(engine));
 //!
 //! // run half the stream, then checkpoint
 //! let objects: Vec<Object> = (0..6).map(|i| Object::new(i, i as f64)).collect();
@@ -226,6 +227,18 @@ impl Encoder {
     /// A fresh, empty encoder.
     pub fn new() -> Self {
         Encoder { buf: Vec::new() }
+    }
+
+    /// An encoder whose buffer already starts with the checkpoint frame
+    /// header ([`MAGIC`], [`FORMAT_VERSION`]), with room reserved for
+    /// `payload_len` payload bytes and the trailing checksum: everything
+    /// written next is payload, and [`Checkpoint::seal`] appends the
+    /// checksum in place — the payload is never copied a second time.
+    pub(crate) fn framed(payload_len: usize) -> Self {
+        let mut buf = Vec::with_capacity(FRAME_BYTES + payload_len);
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        Encoder { buf }
     }
 
     /// Appends one byte.
@@ -575,13 +588,12 @@ pub struct Checkpoint {
 const FRAME_BYTES: usize = 8 + 4 + 8;
 
 impl Checkpoint {
-    /// Frames a payload written by this build: prepends magic and
-    /// version, appends the checksum.
-    pub(crate) fn from_payload(payload: Vec<u8>) -> Checkpoint {
-        let mut bytes = Vec::with_capacity(payload.len() + FRAME_BYTES);
-        bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        bytes.extend_from_slice(&payload);
+    /// Seals a payload written by this build into an
+    /// [`Encoder::framed`] buffer: appends the checksum over header and
+    /// payload, in place.
+    pub(crate) fn seal(enc: Encoder) -> Checkpoint {
+        let mut bytes = enc.buf;
+        debug_assert!(bytes.starts_with(&MAGIC), "seal takes a framed encoder");
         let sum = fnv1a(&bytes);
         bytes.extend_from_slice(&sum.to_le_bytes());
         Checkpoint { bytes }
@@ -711,9 +723,39 @@ mod tests {
         );
     }
 
+    fn sealed(payload: &[u8]) -> Checkpoint {
+        let mut enc = Encoder::framed(payload.len());
+        enc.put_encoded(payload);
+        Checkpoint::seal(enc)
+    }
+
+    #[test]
+    fn sealing_in_place_matches_the_documented_frame() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for len in [0usize, 1, 7, 64, 1000] {
+            let payload: Vec<u8> = (0..len)
+                .map(|_| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    x as u8
+                })
+                .collect();
+            let mut expected = MAGIC.to_vec();
+            expected.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+            expected.extend_from_slice(&payload);
+            let sum = fnv1a(&expected);
+            expected.extend_from_slice(&sum.to_le_bytes());
+            let ckpt = sealed(&payload);
+            assert_eq!(ckpt.as_bytes(), &expected[..], "len {len}");
+            assert_eq!(ckpt.payload(), &payload[..]);
+            assert_eq!(Checkpoint::from_bytes(&expected).unwrap(), ckpt);
+        }
+    }
+
     #[test]
     fn frame_rejects_foreign_bytes() {
-        let ckpt = Checkpoint::from_payload(vec![1, 2, 3]);
+        let ckpt = sealed(&[1, 2, 3]);
         assert_eq!(Checkpoint::from_bytes(ckpt.as_bytes()).unwrap(), ckpt);
 
         // not a checkpoint at all

@@ -14,14 +14,15 @@ use std::sync::mpsc;
 use std::sync::Arc;
 
 use crate::checkpoint::{tags, Checkpoint, CheckpointError, Decoder, Encoder, EngineFactory};
-use crate::digest::{DigestProducer, SharedTimed};
+use crate::digest::DigestProducer;
 use crate::exec::{QueryState, ShardSession};
 use crate::object::{Object, TimedObject};
 use crate::predicate::Predicate;
 use crate::query::SapError;
-use crate::registry::{CountGroupState, GroupKeys, HubStats, Registry, RegistryParts};
+use crate::registry::{CountGroupState, GroupKeys, HubStats, Registry, RegistryParts, Tally};
 use crate::session::{QueryId, QueryUpdate};
-use crate::window::{SlidingTopK, TimedTopK, WindowSpec};
+use crate::subscription::{Plane, ShardSubscription, Subscription};
+use crate::window::{SlidingTopK, TimedTopK};
 
 /// One shard's ejected serving state — what travels back on
 /// [`AsyncHub::resize`](crate::exec::AsyncHub::resize)'s rescatter path.
@@ -40,30 +41,10 @@ pub(crate) enum Command {
     Publish(Arc<[Object]>),
     PublishTimed(Arc<[TimedObject]>),
     AdvanceTime(u64),
-    Register(QueryId, Box<dyn SlidingTopK + Send>),
-    RegisterTimed(QueryId, Box<dyn TimedTopK + Send>),
-    /// The subscription predicate is part of the group key (disjoint
-    /// predicates split one slide duration into sub-groups). The trailing
-    /// `usize` is the hub-computed home shard for the query's slide group
-    /// — the receiving registry debug-asserts it owns it, so a group can
-    /// never silently span shards.
-    RegisterShared(
-        QueryId,
-        SharedTimed<Box<dyn SlidingTopK + Send>>,
-        Predicate,
-        usize,
-    ),
-    /// A count-group member: the reduced consumer, the plain `⟨n, k, s⟩`
-    /// spec, the subscription predicate (part of the geometry-class key),
-    /// and the hub-computed home shard of its class (same
-    /// no-silent-spanning contract as `RegisterShared`).
-    RegisterGrouped(
-        QueryId,
-        SharedTimed<Box<dyn SlidingTopK + Send>>,
-        WindowSpec,
-        Predicate,
-        usize,
-    ),
+    /// The trailing `usize` is the hub-computed home shard — for a group
+    /// member, its group's shard. The receiving registry debug-asserts it
+    /// owns it, so a group can never silently span shards.
+    Register(QueryId, ShardSubscription, usize),
     Unregister(QueryId, mpsc::Sender<ShardSession>),
     Inspect(QueryId, mpsc::Sender<QueryState>),
     /// Stats partial plus the group identities backing it, so the hub
@@ -84,8 +65,8 @@ pub(crate) enum Command {
     /// Adopt a count group and its member sessions as one unit — a count
     /// group never travels without its members.
     InstallCountGroup(CountGroupState, Vec<(QueryId, ShardSession)>),
-    /// Digest hits/rebuilds, count-group hits/rebuilds, admitted/pruned.
-    InstallCounters(u64, u64, u64, u64, u64, u64),
+    /// Counters carried over from a restore or a resize.
+    InstallCounters(Tally),
     /// Hand a slide group — producer plus every member session — to the
     /// hub for migration to another shard.
     EjectGroup(
@@ -101,14 +82,6 @@ pub(crate) enum Command {
     /// Hand *everything* back — sessions, groups, counters, and the
     /// undrained updates — emptying the shard (the resize path).
     EjectAll(mpsc::Sender<(ShardParts, Vec<QueryUpdate>)>),
-    /// Toggle result-class pooling for *future registrations* on this
-    /// shard (traveling sessions re-class regardless; see
-    /// [`Registry::set_class_sharing`]).
-    SetClassSharing(bool),
-    /// Toggle ingest-side dominance pruning on this shard's registry
-    /// (takes effect immediately for every group it serves; see
-    /// [`Registry::set_admission_pruning`]).
-    SetAdmissionPruning(bool),
 }
 
 impl Command {
@@ -121,30 +94,6 @@ impl Command {
             self,
             Command::Publish(_) | Command::PublishTimed(_) | Command::AdvanceTime(_)
         )
-    }
-
-    /// The sharing counters `parts` carries as one `InstallCounters`, or
-    /// `None` when they are all zero.
-    pub(crate) fn install_counters(parts: &ShardParts) -> Option<Command> {
-        let counters = [
-            parts.digest_hits,
-            parts.digest_rebuilds,
-            parts.count_group_hits,
-            parts.count_group_rebuilds,
-            parts.admitted,
-            parts.pruned,
-        ];
-        counters
-            .iter()
-            .any(|&c| c != 0)
-            .then_some(Command::InstallCounters(
-                parts.digest_hits,
-                parts.digest_rebuilds,
-                parts.count_group_hits,
-                parts.count_group_rebuilds,
-                parts.admitted,
-                parts.pruned,
-            ))
     }
 }
 
@@ -159,14 +108,7 @@ pub(crate) fn apply_command(
         Command::Publish(batch) => updates.extend(registry.publish(&batch)),
         Command::PublishTimed(batch) => updates.extend(registry.publish_timed(&batch)),
         Command::AdvanceTime(watermark) => updates.extend(registry.advance_time(watermark)),
-        Command::Register(id, alg) => registry.register_count(id, alg),
-        Command::RegisterTimed(id, engine) => registry.register_timed(id, engine),
-        Command::RegisterShared(id, consumer, predicate, home) => {
-            registry.register_shared(id, consumer, predicate, Some(home))
-        }
-        Command::RegisterGrouped(id, consumer, spec, predicate, home) => {
-            registry.register_grouped(id, consumer, spec, predicate, Some(home))
-        }
+        Command::Register(id, sub, home) => registry.register(id, sub, Some(home)),
         Command::Unregister(id, reply) => {
             // membership is checked hub-side; a miss here would be a
             // routing bug, surfaced as a RecvError on the hub's reply
@@ -199,9 +141,7 @@ pub(crate) fn apply_command(
         Command::Install(id, session) => registry.install(id, session),
         Command::InstallGroup(key, producer) => registry.install_group(key, producer),
         Command::InstallCountGroup(state, members) => registry.install_count_group(state, members),
-        Command::InstallCounters(hits, rebuilds, count_hits, count_rebuilds, admitted, pruned) => {
-            registry.install_counters(hits, rebuilds, count_hits, count_rebuilds, admitted, pruned)
-        }
+        Command::InstallCounters(tally) => registry.install_counters(&tally),
         Command::EjectGroup(key, reply) => {
             // group residence is tracked hub-side; a miss here is a
             // routing bug, surfaced as a RecvError on the hub's reply
@@ -218,9 +158,28 @@ pub(crate) fn apply_command(
         Command::EjectAll(reply) => {
             let _ = reply.send((registry.eject_all(), std::mem::take(updates)));
         }
-        Command::SetClassSharing(enabled) => registry.set_class_sharing(enabled),
-        Command::SetAdmissionPruning(enabled) => registry.set_admission_pruning(enabled),
     }
+}
+
+/// The group a registration joins or founds — the key its placement
+/// follows, because groups are shard-local state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum GroupKey {
+    /// `(slide_duration, predicate)` on the shared digest plane
+    /// (predicate-disjoint members of one slide duration are separate
+    /// sub-groups, mirroring the registries' keying).
+    Slide((u64, Predicate)),
+    /// `(slide length, founding offset mod s, predicate)` on the shared
+    /// count plane. The hub mirrors the registries' join rule
+    /// arithmetically: a group founded when the hub had published `o`
+    /// objects has an empty open slide exactly when
+    /// `published ≡ o (mod s)` — so routing a registration to the group
+    /// keyed `(s, published mod s, predicate)` lands it precisely where
+    /// the registry's own join scan will accept it. (The registry tracks
+    /// its open-slide fill by *arrival ordinal*, which every published
+    /// object advances whether or not the predicate admits it, so this
+    /// arithmetic is predicate-blind.)
+    Count((u64, u64, Predicate)),
 }
 
 /// Hub-side placement bookkeeping: which shard owns each query, the
@@ -234,37 +193,19 @@ pub(crate) struct Placement {
     /// empty shards can be skipped on publish.
     pub(crate) shard_len: Vec<usize>,
     pub(crate) registered: BTreeSet<QueryId>,
-    /// `(slide_duration, predicate)` → (owning shard, member count) for
-    /// the shared digest plane (predicate-disjoint members of one slide
-    /// duration are separate sub-groups, mirroring the registries'
-    /// keying). Slide groups are **shard-local** (a digest producer
-    /// lives where its members live), so every member of a group must
-    /// land on one shard: the first member places the group by hash of
-    /// its id, later members follow the group even when their own hash
-    /// disagrees. Which shard a query runs on never affects results — a
-    /// drain sorts globally by `(QueryId, slide)` — so group-aware
+    /// Group → (owning shard, member count), for both sharing planes.
+    /// Groups are **shard-local** (a digest producer lives where its
+    /// members live), so every member of a group must land on one shard:
+    /// the first member places the group by hash of its id, later members
+    /// follow the group even when their own hash disagrees, and a group
+    /// migrates whole. Which shard a query runs on never affects results
+    /// — a drain sorts globally by `(QueryId, slide)` — so group-aware
     /// placement preserves the deterministic drain contract by
     /// construction.
-    pub(crate) shared_groups: HashMap<(u64, Predicate), (usize, usize)>,
-    /// Slide-group key of each registered shared query, for unregister
-    /// bookkeeping.
-    pub(crate) shared_sd: HashMap<QueryId, (u64, Predicate)>,
-    /// `(slide length, founding offset mod s, predicate)` → (owning
-    /// shard, member count) for the shared **count** plane. The hub
-    /// mirrors the registries' join rule arithmetically: a group founded
-    /// when the hub had published `o` objects has an empty open slide
-    /// exactly when `published ≡ o (mod s)` — so routing a registration
-    /// to the group keyed `(s, published mod s, predicate)` lands it
-    /// precisely where the registry's own join scan will accept it. (The
-    /// registry tracks its open-slide fill by *arrival ordinal*, which
-    /// every published object advances whether or not the predicate
-    /// admits it, so this arithmetic is predicate-blind.) Count groups
-    /// are shard-local like slide groups, with the same whole-group
-    /// migration discipline.
-    pub(crate) count_groups_hub: HashMap<(u64, u64, Predicate), (usize, usize)>,
-    /// Count-group key of each registered grouped query, for routing and
-    /// unregister bookkeeping.
-    pub(crate) grouped_key: HashMap<QueryId, (u64, u64, Predicate)>,
+    pub(crate) groups: HashMap<GroupKey, (usize, usize)>,
+    /// The group of each registered shared or grouped query, for routing
+    /// and unregister bookkeeping.
+    pub(crate) member_of: HashMap<QueryId, GroupKey>,
     /// Objects accepted hub-wide (all publish paths) — the registration
     /// offset counter the count-group keys are phased against. Never
     /// reset: keys only ever use it mod `s`, and a restore re-derives
@@ -273,8 +214,8 @@ pub(crate) struct Placement {
     pub(crate) published: u64,
     /// Placement overrides from `move_query`: queries living somewhere
     /// other than their id hash. Consulted by
-    /// [`home_shard`](Placement::home_shard) after the group maps (a
-    /// shared query always follows its group), cleared by `resize`
+    /// [`home_shard`](Placement::home_shard) after the group map (a
+    /// group member always follows its group), cleared by `resize`
     /// (which re-scatters by hash under the new shard count).
     pub(crate) placed: HashMap<QueryId, usize>,
     pub(crate) next_id: u64,
@@ -285,10 +226,8 @@ impl Placement {
         Placement {
             shard_len: vec![0; num_shards],
             registered: BTreeSet::new(),
-            shared_groups: HashMap::new(),
-            shared_sd: HashMap::new(),
-            count_groups_hub: HashMap::new(),
-            grouped_key: HashMap::new(),
+            groups: HashMap::new(),
+            member_of: HashMap::new(),
             published: 0,
             placed: HashMap::new(),
             next_id: 0,
@@ -307,29 +246,15 @@ impl Placement {
         ((h >> 32) as usize) % self.num_shards()
     }
 
-    /// Which shard actually owns a registered query: its slide group's
-    /// shard for shared queries, its count group's shard for grouped
-    /// queries (group-aware placement may override the hash), a
-    /// `move_query` placement if one is in effect, the Fibonacci hash
+    /// Which shard actually owns a registered query: its group's shard
+    /// for a group member (group-aware placement may override the hash),
+    /// a `move_query` placement if one is in effect, the Fibonacci hash
     /// otherwise.
     pub(crate) fn home_shard(&self, id: QueryId) -> usize {
-        if let Some(&(shard, _)) = self
-            .shared_sd
-            .get(&id)
-            .and_then(|sd| self.shared_groups.get(sd))
-        {
-            return shard;
-        }
-        if let Some(&(shard, _)) = self
-            .grouped_key
-            .get(&id)
-            .and_then(|key| self.count_groups_hub.get(key))
-        {
-            return shard;
-        }
-        match self.placed.get(&id) {
-            Some(&shard) => shard,
-            None => self.shard_of(id),
+        let group = self.member_of.get(&id).and_then(|key| self.groups.get(key));
+        match (group, self.placed.get(&id)) {
+            (Some(&(shard, _)), _) | (None, Some(&shard)) => shard,
+            (None, None) => self.shard_of(id),
         }
     }
 
@@ -344,10 +269,66 @@ impl Placement {
         id
     }
 
-    /// Records a registration the target shard accepted.
-    pub(crate) fn admit(&mut self, id: QueryId, shard: usize) {
+    /// The group `sub` joins or founds, `None` for an isolated query. A
+    /// count-group key is phased against `published`, so callers settle
+    /// coalesced publishes first.
+    pub(crate) fn group_key<C: SlidingTopK, T: TimedTopK>(
+        &self,
+        sub: &Subscription<C, T>,
+    ) -> Option<GroupKey> {
+        match &sub.plane {
+            Plane::Count(_) | Plane::Timed(_) => None,
+            Plane::Shared {
+                consumer,
+                predicate,
+            } => Some(GroupKey::Slide((consumer.slide_duration(), *predicate))),
+            Plane::Grouped {
+                spec, predicate, ..
+            } => {
+                let s = spec.s as u64;
+                Some(GroupKey::Count((s, self.published % s, *predicate)))
+            }
+        }
+    }
+
+    /// Where a registration lands: on its group's shard when it joins a
+    /// live group — overriding the id hash, because the group's producer
+    /// lives there — and by the id hash otherwise (an isolated query, or
+    /// a member founding a new group).
+    pub(crate) fn registration_shard(&self, id: QueryId, key: Option<GroupKey>) -> usize {
+        key.and_then(|key| self.groups.get(&key))
+            .map_or_else(|| self.shard_of(id), |&(shard, _)| shard)
+    }
+
+    /// Records a query the target shard accepted, with its group
+    /// membership (founding the group's placement on `shard` if it is
+    /// new). Never called for a failed send, so the hub never counts a
+    /// member that no shard owns.
+    pub(crate) fn admit(&mut self, id: QueryId, shard: usize, key: Option<GroupKey>) {
+        if let Some(key) = key {
+            self.groups.entry(key).or_insert((shard, 0)).1 += 1;
+            self.member_of.insert(id, key);
+        }
         self.shard_len[shard] += 1;
         self.registered.insert(id);
+    }
+
+    /// Undoes [`admit`](Placement::admit) once the shard handed the
+    /// session back. The last member out retires its group's placement —
+    /// mirroring the registry, which just retired the group — so a later
+    /// registrant founds a fresh one, placed anew.
+    pub(crate) fn release(&mut self, id: QueryId, shard: usize) {
+        self.registered.remove(&id);
+        self.shard_len[shard] -= 1;
+        let Some(key) = self.member_of.remove(&id) else {
+            return;
+        };
+        if let Some(members) = self.groups.get_mut(&key) {
+            members.1 -= 1;
+            if members.1 == 0 {
+                self.groups.remove(&key);
+            }
+        }
     }
 
     /// Empties every per-query map for a repartition under `num_shards`.
@@ -356,10 +337,8 @@ impl Placement {
     pub(crate) fn reset(&mut self, num_shards: usize) {
         self.shard_len = vec![0; num_shards];
         self.registered.clear();
-        self.shared_groups.clear();
-        self.shared_sd.clear();
-        self.count_groups_hub.clear();
-        self.grouped_key.clear();
+        self.groups.clear();
+        self.member_of.clear();
         self.placed.clear();
     }
 }

@@ -22,7 +22,7 @@
 //!
 //! `sap_core`'s `TimeBased<E>` is one producer wired to one consumer; the
 //! hubs wire one producer to *many* consumers (see
-//! `Hub::register_shared_boxed`), which is where the shared plane earns
+//! `Subscription::shared`), which is where the shared plane earns
 //! its keep: 500 queries over 4 slide durations cost 4 truncation passes
 //! per slide instead of 500.
 //!
@@ -395,6 +395,24 @@ impl<E: SlidingTopK> SharedTimed<E> {
             kept: Vec::with_capacity(got.k),
             batch: Vec::with_capacity(got.k),
         })
+    }
+
+    /// Re-wraps the engine (e.g. drops its `Send` bound); every other
+    /// field carries over verbatim.
+    pub(crate) fn map_engine<F: SlidingTopK>(self, f: impl FnOnce(E) -> F) -> SharedTimed<F> {
+        SharedTimed {
+            inner: f(self.inner),
+            k: self.k,
+            window_duration: self.window_duration,
+            slide_duration: self.slide_duration,
+            ring: self.ring,
+            ring_base: self.ring_base,
+            next_synth_id: self.next_synth_id,
+            slides_applied: self.slides_applied,
+            result: self.result,
+            kept: self.kept,
+            batch: self.batch,
+        }
     }
 
     /// Number of time units per window.

@@ -73,7 +73,7 @@
 //! `tests/async_equivalence.rs` attacks with hundreds of seeds.
 //!
 //! ```
-//! use sap_stream::{AsyncHub, Object};
+//! use sap_stream::{AsyncHub, Object, Subscription};
 //! # use sap_stream::{OpStats, SlidingTopK, WindowSpec};
 //! # struct Toy(WindowSpec, Vec<Object>);
 //! # impl sap_stream::checkpoint::CheckpointState for Toy {}
@@ -88,7 +88,8 @@
 //! // 8 logical shards served by 2 workers — shards are not capped at
 //! // the core count
 //! let mut hub = AsyncHub::new(8, 2);
-//! let q = hub.register_alg(Toy(WindowSpec::new(2, 1, 2).unwrap(), Vec::new())).unwrap();
+//! let engine: Box<dyn SlidingTopK + Send> = Box::new(Toy(WindowSpec::new(2, 1, 2).unwrap(), Vec::new()));
+//! let q = hub.register_engine(Subscription::count(engine)).unwrap();
 //! assert!(hub.poll_ready().unwrap(), "queues are empty: room for a batch");
 //! hub.publish(&[Object::new(0, 1.0), Object::new(1, 5.0)]).unwrap();
 //! let updates = hub.drain().unwrap(); // join-all barrier
@@ -101,7 +102,7 @@
 //! seed only steers which worker touches which shard when.
 //!
 //! ```
-//! use sap_stream::{AsyncHub, Object, SeededScheduler};
+//! use sap_stream::{AsyncHub, Object, SeededScheduler, Subscription};
 //! # use sap_stream::{OpStats, SlidingTopK, WindowSpec};
 //! # struct Toy(WindowSpec, Vec<Object>);
 //! # impl sap_stream::checkpoint::CheckpointState for Toy {}
@@ -118,7 +119,8 @@
 //! for seed in [1u64, 0xDEAD_BEEF] {
 //!     let mut hub = AsyncHub::with_scheduler(4, 2, Box::new(SeededScheduler::new(seed)));
 //!     for _ in 0..3 {
-//!         hub.register_alg(Toy(WindowSpec::new(4, 2, 4).unwrap(), Vec::new())).unwrap();
+//!         let engine: Box<dyn SlidingTopK + Send> = Box::new(Toy(WindowSpec::new(4, 2, 4).unwrap(), Vec::new()));
+//!         hub.register_engine(Subscription::count(engine)).unwrap();
 //!     }
 //!     for chunk in data.chunks(8) {
 //!         hub.publish(chunk).unwrap();
@@ -165,16 +167,16 @@ use std::thread::JoinHandle;
 
 use crate::checkpoint::{Checkpoint, Encoder, EngineFactory};
 use crate::control::{
-    apply_command, decode_hub_checkpoint, Command, Placement, ShardParts, ShardRegistry,
+    apply_command, decode_hub_checkpoint, Command, GroupKey, Placement, ShardParts, ShardRegistry,
 };
-use crate::digest::SharedTimed;
 use crate::events::Snapshot;
 use crate::object::{Object, TimedObject};
 use crate::predicate::Predicate;
 use crate::query::SapError;
 use crate::registry::{GroupKeys, HubStats, Registry, RegistryParts};
 use crate::session::{AnySession, QueryId, QueryUpdate};
-use crate::window::{SlidingTopK, TimedTopK, WindowSpec};
+use crate::subscription::{ServingConfig, ShardSubscription};
+use crate::window::{SlidingTopK, TimedTopK};
 
 /// How many queued commands one worker wakeup applies to its claimed
 /// shard before re-entering the reactor. Batching amortizes the lock
@@ -312,11 +314,11 @@ struct ShardCore {
 }
 
 impl Slot {
-    fn new(shard: usize, capacity: usize) -> Slot {
+    fn new(shard: usize, capacity: usize, config: ServingConfig) -> Slot {
         Slot {
             queue: VecDeque::with_capacity(capacity),
             core: Some(Box::new(ShardCore {
-                registry: Registry::with_shard(shard),
+                registry: Registry::new(config, Some(shard)),
                 updates: Vec::new(),
             })),
             dead: false,
@@ -355,13 +357,22 @@ struct Reactor {
     room_cv: Condvar,
     /// Queue bound per shard, in commands.
     capacity: usize,
+    /// What every shard's registry serves under, resized ones included.
+    config: ServingConfig,
 }
 
 impl Reactor {
-    fn new(num_shards: usize, capacity: usize, scheduler: Box<dyn Scheduler>) -> Reactor {
+    fn new(
+        num_shards: usize,
+        capacity: usize,
+        scheduler: Box<dyn Scheduler>,
+        config: ServingConfig,
+    ) -> Reactor {
         Reactor {
             state: Mutex::new(ExecState {
-                slots: (0..num_shards).map(|i| Slot::new(i, capacity)).collect(),
+                slots: (0..num_shards)
+                    .map(|i| Slot::new(i, capacity, config))
+                    .collect(),
                 scheduler,
                 shutdown: false,
                 retired_parks: 0,
@@ -369,6 +380,7 @@ impl Reactor {
             work_cv: Condvar::new(),
             room_cv: Condvar::new(),
             capacity,
+            config,
         }
     }
 
@@ -696,11 +708,6 @@ pub struct AsyncHub {
     targets: Vec<usize>,
     pool: ArcPool<Object>,
     timed_pool: ArcPool<TimedObject>,
-    /// The result-class registration knob, remembered hub-side so slots
-    /// created by [`resize`](AsyncHub::resize) inherit it.
-    class_sharing: bool,
-    /// The admission-pruning knob, remembered for the same reason.
-    admission_pruning: bool,
 }
 
 impl std::fmt::Debug for AsyncHub {
@@ -717,15 +724,11 @@ impl std::fmt::Debug for AsyncHub {
 impl AsyncHub {
     /// A hub with `num_shards` logical shards served by `num_workers`
     /// threads (both clamped to ≥ 1), the [`DEFAULT_QUEUE_CAPACITY`], and
-    /// the [`FifoScheduler`]. `AsyncHub::new(n, n)` gives every shard a
-    /// worker of its own; shards beyond the worker count cost no thread.
+    /// the [`FifoScheduler`], and the default [`ServingConfig`].
+    /// `AsyncHub::new(n, n)` gives every shard a worker of its own; shards
+    /// beyond the worker count cost no thread.
     pub fn new(num_shards: usize, num_workers: usize) -> AsyncHub {
-        AsyncHub::with_config(
-            num_shards,
-            num_workers,
-            DEFAULT_QUEUE_CAPACITY,
-            Box::new(FifoScheduler),
-        )
+        AsyncHub::with_scheduler(num_shards, num_workers, Box::new(FifoScheduler))
     }
 
     /// [`new`](AsyncHub::new) with an explicit [`Scheduler`] — the
@@ -735,23 +738,32 @@ impl AsyncHub {
         num_workers: usize,
         scheduler: Box<dyn Scheduler>,
     ) -> AsyncHub {
-        AsyncHub::with_config(num_shards, num_workers, DEFAULT_QUEUE_CAPACITY, scheduler)
+        AsyncHub::with_config(
+            num_shards,
+            num_workers,
+            DEFAULT_QUEUE_CAPACITY,
+            scheduler,
+            ServingConfig::default(),
+        )
     }
 
     /// Fully explicit construction: shard count, worker count, per-shard
-    /// queue bound (all clamped to ≥ 1), and scheduler. A capacity of 1
-    /// makes every publish rendezvous with the slowest shard (maximum
+    /// queue bound (all clamped to ≥ 1), scheduler, and the
+    /// [`ServingConfig`] every shard serves under — including shards a
+    /// later [`resize`](AsyncHub::resize) creates. A capacity of 1 makes
+    /// every publish rendezvous with the slowest shard (maximum
     /// backpressure, minimum buffering).
     pub fn with_config(
         num_shards: usize,
         num_workers: usize,
         queue_capacity: usize,
         scheduler: Box<dyn Scheduler>,
+        config: ServingConfig,
     ) -> AsyncHub {
         let num_shards = num_shards.max(1);
         let num_workers = num_workers.max(1);
         let queue_capacity = queue_capacity.max(1);
-        let reactor = Arc::new(Reactor::new(num_shards, queue_capacity, scheduler));
+        let reactor = Arc::new(Reactor::new(num_shards, queue_capacity, scheduler, config));
         let workers = (0..num_workers)
             .map(|i| {
                 let reactor = Arc::clone(&reactor);
@@ -770,211 +782,36 @@ impl AsyncHub {
             targets: Vec::new(),
             pool: ArcPool::new(),
             timed_pool: ArcPool::new(),
-            class_sharing: true,
-            admission_pruning: true,
         }
     }
 
     // ---- registration ----------------------------------------------------
 
-    /// Registers a boxed engine as a new standing count-based query and
-    /// returns its handle; the query lands on the shard its id hashes to.
-    /// The query only ever sees objects published after this call. A dead
-    /// target shard is [`SapError::ShardDown`]; the failed registration
-    /// burns its id, so a retry derives a fresh id that may hash onto a
-    /// healthy shard.
-    pub fn register_boxed(
-        &mut self,
-        alg: Box<dyn SlidingTopK + Send>,
-    ) -> Result<QueryId, SapError> {
-        self.flush_pending_one()?;
-        let id = self.placement.fresh_id();
-        let shard = self.placement.shard_of(id);
-        self.reactor.send(shard, Command::Register(id, alg))?;
-        self.placement.admit(id, shard);
-        Ok(id)
-    }
-
-    /// Registers an owned count-based engine (convenience over
-    /// [`register_boxed`](AsyncHub::register_boxed)).
-    pub fn register_alg<A: SlidingTopK + Send + 'static>(
-        &mut self,
-        alg: A,
-    ) -> Result<QueryId, SapError> {
-        self.register_boxed(Box::new(alg))
-    }
-
-    /// Registers a boxed time-based engine as a new standing query. The
-    /// query slides on event time, so it advances on
-    /// [`publish_timed`](AsyncHub::publish_timed) and
-    /// [`advance_time`](AsyncHub::advance_time) only. Same placement and
-    /// error contract as [`register_boxed`](AsyncHub::register_boxed).
-    pub fn register_timed_boxed(
-        &mut self,
-        engine: Box<dyn TimedTopK + Send>,
-    ) -> Result<QueryId, SapError> {
-        self.flush_pending_one()?;
-        let id = self.placement.fresh_id();
-        let shard = self.placement.shard_of(id);
-        self.reactor
-            .send(shard, Command::RegisterTimed(id, engine))?;
-        self.placement.admit(id, shard);
-        Ok(id)
-    }
-
-    /// Registers an owned time-based engine (convenience over
-    /// [`register_timed_boxed`](AsyncHub::register_timed_boxed)).
-    pub fn register_timed_alg<E: TimedTopK + Send + 'static>(
-        &mut self,
-        engine: E,
-    ) -> Result<QueryId, SapError> {
-        self.register_timed_boxed(Box::new(engine))
-    }
-
-    /// Registers a time-based query `W⟨window_duration, slide_duration⟩`
-    /// on the **shared digest plane** (see
-    /// [`Hub::register_shared_boxed`](crate::session::Hub::register_shared_boxed)
-    /// for the semantics; results are byte-identical to an isolated
-    /// registration). A query joining an existing slide group is placed
-    /// on that group's shard — overriding the id hash, because digest
-    /// producers are shard-local state — and a query founding a new group
-    /// places it by the usual hash.
+    /// Registers a validated [`Subscription`](crate::Subscription) as a
+    /// new standing query and returns its handle. The query only ever
+    /// sees objects published after this call.
     ///
-    /// Wrong engine geometry is a typed [`SapError::Spec`] and burns no
-    /// id. A dead target shard is [`SapError::ShardDown`]; the failed
-    /// registration burns its id but leaves the group's membership
+    /// Placement: an isolated query, or a member founding a new group,
+    /// lands on the shard its id hashes to; a member joining a live slide
+    /// group or count group lands on that group's shard — overriding the
+    /// hash, because a group's producer is shard-local state.
+    ///
+    /// A dead target shard is [`SapError::ShardDown`]. The failed
+    /// registration burns its id, so a retry derives a fresh id that may
+    /// hash onto a healthy shard, and it leaves group membership
     /// bookkeeping untouched, so the hub never counts a member that no
     /// shard owns.
-    pub fn register_shared_boxed(
-        &mut self,
-        engine: Box<dyn SlidingTopK + Send>,
-        window_duration: u64,
-        slide_duration: u64,
-    ) -> Result<QueryId, SapError> {
-        self.register_shared_filtered_boxed(
-            engine,
-            window_duration,
-            slide_duration,
-            Predicate::default(),
-        )
-    }
-
-    /// [`register_shared_boxed`](AsyncHub::register_shared_boxed) with a
-    /// **subscription predicate** (see
-    /// [`Hub::register_shared_filtered_boxed`](crate::session::Hub::register_shared_filtered_boxed)
-    /// for the semantics). Predicate-disjoint members of one slide
-    /// duration form separate sub-groups, each placed independently. An
-    /// invalid predicate is a typed [`SapError::InvalidPredicate`] and
-    /// burns no id.
-    pub fn register_shared_filtered_boxed(
-        &mut self,
-        engine: Box<dyn SlidingTopK + Send>,
-        window_duration: u64,
-        slide_duration: u64,
-        predicate: Predicate,
-    ) -> Result<QueryId, SapError> {
+    pub fn register_engine(&mut self, sub: ShardSubscription) -> Result<QueryId, SapError> {
+        // settles `published`, so a count-group key is phase-exact
         self.flush_pending_one()?;
-        predicate
-            .validate()
-            .map_err(|reason| SapError::InvalidPredicate { reason })?;
-        let consumer = SharedTimed::from_engine(engine, window_duration, slide_duration)
-            .map_err(SapError::Spec)?;
         let p = &mut self.placement;
         let id = p.fresh_id();
-        let key = (slide_duration, predicate);
-        let shard = match p.shared_groups.get(&key) {
-            Some(&(shard, _)) => shard,
-            None => p.shard_of(id),
-        };
-        self.reactor.send(
-            shard,
-            Command::RegisterShared(id, consumer, predicate, shard),
-        )?;
-        p.shared_groups.entry(key).or_insert((shard, 0)).1 += 1;
-        p.shared_sd.insert(id, key);
-        p.admit(id, shard);
+        let key = p.group_key(&sub);
+        let shard = p.registration_shard(id, key);
+        self.reactor
+            .send(shard, Command::Register(id, sub, shard))?;
+        p.admit(id, shard, key);
         Ok(id)
-    }
-
-    /// Registers an owned engine on the shared digest plane (convenience
-    /// over [`register_shared_boxed`](AsyncHub::register_shared_boxed)).
-    pub fn register_shared_alg<A: SlidingTopK + Send + 'static>(
-        &mut self,
-        engine: A,
-        window_duration: u64,
-        slide_duration: u64,
-    ) -> Result<QueryId, SapError> {
-        self.register_shared_boxed(Box::new(engine), window_duration, slide_duration)
-    }
-
-    /// Registers a count-based query `⟨n, k, s⟩` on the **shared count
-    /// plane** (see
-    /// [`Hub::register_grouped_boxed`](crate::session::Hub::register_grouped_boxed)
-    /// for the semantics; results are byte-identical to an isolated
-    /// [`register_boxed`](AsyncHub::register_boxed)). `engine` runs the
-    /// Appendix-A reduction of the spec, `k` is the engine's; a query
-    /// joining a live geometry class is placed on that class's shard —
-    /// count groups are shard-local state, like slide groups — and a
-    /// query founding a new class places it by the usual id hash. Same
-    /// error and bookkeeping contract as
-    /// [`register_shared_boxed`](AsyncHub::register_shared_boxed).
-    pub fn register_grouped_boxed(
-        &mut self,
-        engine: Box<dyn SlidingTopK + Send>,
-        n: usize,
-        s: usize,
-    ) -> Result<QueryId, SapError> {
-        self.register_grouped_filtered_boxed(engine, n, s, Predicate::default())
-    }
-
-    /// [`register_grouped_boxed`](AsyncHub::register_grouped_boxed) with a
-    /// **subscription predicate** (see
-    /// [`Hub::register_grouped_filtered_boxed`](crate::session::Hub::register_grouped_filtered_boxed)
-    /// for the semantics). Predicate-disjoint members of one geometry
-    /// class form separate sub-groups, each placed independently. An
-    /// invalid predicate is a typed [`SapError::InvalidPredicate`] and
-    /// burns no id.
-    pub fn register_grouped_filtered_boxed(
-        &mut self,
-        engine: Box<dyn SlidingTopK + Send>,
-        n: usize,
-        s: usize,
-        predicate: Predicate,
-    ) -> Result<QueryId, SapError> {
-        // settles `published`, so the geometry key is phase-exact
-        self.flush_pending_one()?;
-        predicate
-            .validate()
-            .map_err(|reason| SapError::InvalidPredicate { reason })?;
-        let spec = WindowSpec::new(n, engine.spec().k, s).map_err(SapError::Spec)?;
-        let consumer =
-            SharedTimed::from_engine(engine, n as u64, s as u64).map_err(SapError::Spec)?;
-        let p = &mut self.placement;
-        let id = p.fresh_id();
-        let key = (s as u64, p.published % s as u64, predicate);
-        let shard = match p.count_groups_hub.get(&key) {
-            Some(&(shard, _)) => shard,
-            None => p.shard_of(id),
-        };
-        self.reactor.send(
-            shard,
-            Command::RegisterGrouped(id, consumer, spec, predicate, shard),
-        )?;
-        p.count_groups_hub.entry(key).or_insert((shard, 0)).1 += 1;
-        p.grouped_key.insert(id, key);
-        p.admit(id, shard);
-        Ok(id)
-    }
-
-    /// Registers an owned engine on the shared count plane (convenience
-    /// over [`register_grouped_boxed`](AsyncHub::register_grouped_boxed)).
-    pub fn register_grouped_alg<A: SlidingTopK + Send + 'static>(
-        &mut self,
-        engine: A,
-        n: usize,
-        s: usize,
-    ) -> Result<QueryId, SapError> {
-        self.register_grouped_boxed(Box::new(engine), n, s)
     }
 
     /// Removes a query and returns its session (with the engine's full
@@ -995,27 +832,7 @@ impl AsyncHub {
         let session = self
             .reactor
             .ask(shard, |reply| Command::Unregister(id, reply))?;
-        p.registered.remove(&id);
-        p.shard_len[shard] -= 1;
-        if let Some(sd) = p.shared_sd.remove(&id) {
-            if let Some(members) = p.shared_groups.get_mut(&sd) {
-                members.1 -= 1;
-                if members.1 == 0 {
-                    // last member out: retire the group so a later
-                    // registrant founds a fresh one, placed anew
-                    p.shared_groups.remove(&sd);
-                }
-            }
-        }
-        if let Some(key) = p.grouped_key.remove(&id) {
-            if let Some(members) = p.count_groups_hub.get_mut(&key) {
-                members.1 -= 1;
-                if members.1 == 0 {
-                    // mirror the registry, which just retired the group
-                    p.count_groups_hub.remove(&key);
-                }
-            }
-        }
+        p.release(id, shard);
         Ok(session)
     }
 
@@ -1330,13 +1147,15 @@ impl AsyncHub {
         let sections = self
             .reactor
             .ask_all(self.placement.num_shards(), Command::CheckpointShard)?;
-        let mut enc = Encoder::new();
+        // id counter + section count, then the shard sections verbatim
+        let payload_len = 16 + sections.iter().map(Vec::len).sum::<usize>();
+        let mut enc = Encoder::framed(payload_len);
         enc.put_u64(self.placement.next_id);
         enc.put_usize(sections.len());
         for section in &sections {
             enc.put_encoded(section);
         }
-        Ok((Checkpoint::from_payload(enc.into_payload()), updates))
+        Ok((Checkpoint::seal(enc), updates))
     }
 
     /// Rebuilds a hub (`num_shards` logical shards, `num_workers`
@@ -1372,25 +1191,13 @@ impl AsyncHub {
     /// reports them into the stats total).
     fn place_parts(&mut self, parts: ShardParts) -> Result<(), SapError> {
         let p = &mut self.placement;
-        let counters = Command::install_counters(&parts);
         let RegistryParts {
             sessions,
             groups,
             count_groups,
-            ..
+            tally,
         } = parts;
-        // grouped sessions travel with their count group, not alone — split
-        // them out by canonical group index (ascending id within each group,
-        // since the merged session list is ascending)
-        let mut count_members: Vec<Vec<(QueryId, ShardSession)>> =
-            (0..count_groups.len()).map(|_| Vec::new()).collect();
-        let mut loose = Vec::with_capacity(sessions.len());
-        for (id, session) in sessions {
-            match &session {
-                AnySession::Grouped(g) => count_members[g.group() as usize].push((id, session)),
-                _ => loose.push((id, session)),
-            }
-        }
+        let (count_members, loose) = split_count_members(sessions, count_groups.len());
         let mut group_home: HashMap<(u64, Predicate), usize> = HashMap::new();
         for (key, _) in &groups {
             let lowest = loose
@@ -1407,10 +1214,8 @@ impl AsyncHub {
             group_home.insert(*key, p.shard_of(lowest));
         }
         for (key, producer) in groups {
-            let shard = group_home[&key];
             self.reactor
-                .send(shard, Command::InstallGroup(key, producer))?;
-            p.shared_groups.insert(key, (shard, 0));
+                .send(group_home[&key], Command::InstallGroup(key, producer))?;
         }
         for (state, members) in count_groups.into_iter().zip(count_members) {
             let lowest = members
@@ -1426,37 +1231,29 @@ impl AsyncHub {
             // sat empty `fill` objects ago — class `(published − fill) mod
             // s`. Merge rejected same-(s, fill, predicate) collisions, so
             // keys are unique.
-            let key = (
+            let key = GroupKey::Count((
                 sd,
                 (p.published % sd + sd - state.fill() % sd) % sd,
                 state.predicate,
-            );
+            ));
             for (id, _) in &members {
-                p.grouped_key.insert(*id, key);
-                p.registered.insert(*id);
+                p.admit(*id, shard, Some(key));
             }
-            p.shard_len[shard] += members.len();
-            p.count_groups_hub.insert(key, (shard, members.len()));
             self.reactor
                 .send(shard, Command::InstallCountGroup(state, members))?;
         }
         for (id, session) in loose {
-            let shard = match &session {
+            let (shard, key) = match &session {
                 AnySession::Shared(s) => {
                     let key = (s.slide_duration(), s.predicate());
-                    p.shared_sd.insert(id, key);
-                    p.shared_groups.get_mut(&key).expect("group placed above").1 += 1;
-                    group_home[&key]
+                    (group_home[&key], Some(GroupKey::Slide(key)))
                 }
-                _ => p.shard_of(id),
+                _ => (p.shard_of(id), None),
             };
             self.reactor.send(shard, Command::Install(id, session))?;
-            p.admit(id, shard);
+            p.admit(id, shard, key);
         }
-        if let Some(counters) = counters {
-            self.reactor.send(0, counters)?;
-        }
-        Ok(())
+        self.reactor.send(0, Command::InstallCounters(tally))
     }
 
     // ---- elastic operation ------------------------------------------------
@@ -1500,34 +1297,38 @@ impl AsyncHub {
         if source == shard {
             return Ok(());
         }
-        let moved = if let Some(&sd) = p.shared_sd.get(&id) {
-            let (producer, members) =
-                reactor.ask(source, |reply| Command::EjectGroup(sd, reply))?;
-            reactor.send(shard, Command::InstallGroup(sd, producer))?;
-            let moved = members.len();
-            for (member, session) in members {
-                reactor.send(shard, Command::Install(member, session))?;
+        let moved = match p.member_of.get(&id).copied() {
+            Some(key @ GroupKey::Slide(sd)) => {
+                let (producer, members) =
+                    reactor.ask(source, |reply| Command::EjectGroup(sd, reply))?;
+                reactor.send(shard, Command::InstallGroup(sd, producer))?;
+                let moved = members.len();
+                for (member, session) in members {
+                    reactor.send(shard, Command::Install(member, session))?;
+                }
+                p.groups.insert(key, (shard, moved));
+                moved
             }
-            p.shared_groups.insert(sd, (shard, moved));
-            moved
-        } else if let Some(&key) = p.grouped_key.get(&id) {
-            // a grouped count query moves with its entire count group —
-            // same shard-local-state rationale as a slide group
-            let (state, members) =
-                reactor.ask(source, |reply| Command::EjectCountGroup(id, reply))?;
-            let moved = members.len();
-            reactor.send(shard, Command::InstallCountGroup(state, members))?;
-            p.count_groups_hub.insert(key, (shard, moved));
-            moved
-        } else {
-            let session = reactor.ask(source, |reply| Command::Unregister(id, reply))?;
-            reactor.send(shard, Command::Install(id, session))?;
-            if p.shard_of(id) == shard {
-                p.placed.remove(&id);
-            } else {
-                p.placed.insert(id, shard);
+            Some(key @ GroupKey::Count(_)) => {
+                // a grouped count query moves with its entire count group —
+                // same shard-local-state rationale as a slide group
+                let (state, members) =
+                    reactor.ask(source, |reply| Command::EjectCountGroup(id, reply))?;
+                let moved = members.len();
+                reactor.send(shard, Command::InstallCountGroup(state, members))?;
+                p.groups.insert(key, (shard, moved));
+                moved
             }
-            1
+            None => {
+                let session = reactor.ask(source, |reply| Command::Unregister(id, reply))?;
+                reactor.send(shard, Command::Install(id, session))?;
+                if p.shard_of(id) == shard {
+                    p.placed.remove(&id);
+                } else {
+                    p.placed.insert(id, shard);
+                }
+                1
+            }
         };
         p.shard_len[source] -= moved;
         p.shard_len[shard] += moved;
@@ -1568,20 +1369,11 @@ impl AsyncHub {
             // per-placement by design and start fresh)
             state.retired_parks += state.slots.iter().map(|s| s.parks).sum::<u64>();
             state.slots = (0..num_shards)
-                .map(|i| Slot::new(i, self.reactor.capacity))
+                .map(|i| Slot::new(i, self.reactor.capacity, self.reactor.config))
                 .collect();
         }
         self.placement.reset(num_shards);
-        self.place_parts(merged)?;
-        // fresh slots serve fresh registries, which default to pooling
-        // and pruning; re-broadcast disabled knobs
-        if !self.class_sharing {
-            self.set_knob(Command::SetClassSharing, false)?;
-        }
-        if !self.admission_pruning {
-            self.set_knob(Command::SetAdmissionPruning, false)?;
-        }
-        Ok(())
+        self.place_parts(merged)
     }
 
     /// Empties every shard for a repartition, transactionally (see
@@ -1630,70 +1422,44 @@ impl AsyncHub {
     /// `count_groups` list by canonical index; placement was never
     /// touched, so no bookkeeping changes here.
     fn reinstall_parts(&self, shard: usize, parts: ShardParts) -> Result<(), SapError> {
-        let counters = Command::install_counters(&parts);
         let RegistryParts {
             sessions,
             groups,
             count_groups,
-            ..
+            tally,
         } = parts;
         for (key, producer) in groups {
             self.reactor
                 .send(shard, Command::InstallGroup(key, producer))?;
         }
-        let mut count_members: Vec<Vec<(QueryId, ShardSession)>> =
-            (0..count_groups.len()).map(|_| Vec::new()).collect();
-        for (id, session) in sessions {
-            match &session {
-                AnySession::Grouped(g) => count_members[g.group() as usize].push((id, session)),
-                _ => self.reactor.send(shard, Command::Install(id, session))?,
-            }
+        let (count_members, loose) = split_count_members(sessions, count_groups.len());
+        for (id, session) in loose {
+            self.reactor.send(shard, Command::Install(id, session))?;
         }
         for (state, members) in count_groups.into_iter().zip(count_members) {
             self.reactor
                 .send(shard, Command::InstallCountGroup(state, members))?;
         }
-        if let Some(counters) = counters {
-            self.reactor.send(shard, counters)?;
+        self.reactor.send(shard, Command::InstallCounters(tally))
+    }
+}
+
+/// Sessions with their ids, ascending.
+type Sessions = Vec<(QueryId, ShardSession)>;
+
+/// The member lists of `groups` count groups, by canonical group index
+/// (ascending id within each, as `sessions` is ascending), and the other
+/// sessions — grouped sessions travel with their count group, not alone.
+fn split_count_members(sessions: Sessions, groups: usize) -> (Vec<Sessions>, Sessions) {
+    let mut members: Vec<Sessions> = (0..groups).map(|_| Vec::new()).collect();
+    let mut loose = Vec::with_capacity(sessions.len());
+    for (id, session) in sessions {
+        match &session {
+            AnySession::Grouped(g) => members[g.group() as usize].push((id, session)),
+            _ => loose.push((id, session)),
         }
-        Ok(())
     }
-
-    /// Enables or disables result-class pooling for **future
-    /// registrations** on every shard (default: enabled). Serving stays
-    /// byte-identical either way — the knob only trades the memoized
-    /// slide close for per-member serving, for A/B measurement (the
-    /// `floor` bench preset) and for pinning down a suspected sharing
-    /// bug in production. Sessions already registered, and any session
-    /// that travels through a restore or resize, keep their class
-    /// machinery regardless.
-    pub fn set_result_class_sharing(&mut self, enabled: bool) -> Result<(), SapError> {
-        self.flush_pending_one()?;
-        self.class_sharing = enabled;
-        self.set_knob(Command::SetClassSharing, enabled)
-    }
-
-    /// Enables or disables ingest-side dominance pruning on every shard
-    /// (default: enabled; see
-    /// [`Hub::set_admission_pruning`](crate::session::Hub::set_admission_pruning)
-    /// for the criterion and the safety argument). Results are
-    /// byte-identical either way; disabled is the reference arm where
-    /// [`HubStats::pruned`] stays `0`. Takes effect for every group,
-    /// existing and future, once each shard processes the toggle — i.e.
-    /// ordered with the publishes around it, like any other command.
-    pub fn set_admission_pruning(&mut self, enabled: bool) -> Result<(), SapError> {
-        self.flush_pending_one()?;
-        self.admission_pruning = enabled;
-        self.set_knob(Command::SetAdmissionPruning, enabled)
-    }
-
-    /// Enqueues one knob toggle on every shard.
-    fn set_knob(&self, knob: fn(bool) -> Command, enabled: bool) -> Result<(), SapError> {
-        for shard in 0..self.placement.num_shards() {
-            self.reactor.send(shard, knob(enabled))?;
-        }
-        Ok(())
-    }
+    (members, loose)
 }
 
 impl Drop for AsyncHub {
@@ -1717,8 +1483,11 @@ mod tests {
     use super::*;
     use crate::metrics::OpStats;
     use crate::object::top_k_of;
+    use crate::predicate::Predicate;
     use crate::session::Hub;
-    use crate::test_support::{Toy, ToyTimed};
+    use crate::subscription::Subscription;
+    use crate::test_support::{count, grouped, shared, timed, Toy, ToyTimed};
+    use crate::window::WindowSpec;
 
     fn stream(len: usize) -> Vec<Object> {
         (0..len)
@@ -1733,8 +1502,8 @@ mod tests {
             let mut hub = AsyncHub::new(shards, workers);
             for i in 0..13usize {
                 let (n, k, s) = (4 * (1 + i % 3), 1 + i % 4, 2 * (1 + i % 3));
-                seq.register_alg(Toy::new(n, k, s));
-                hub.register_alg(Toy::new(n, k, s)).unwrap();
+                seq.register_engine(count(Toy::new(n, k, s)).into());
+                hub.register_engine(count(Toy::new(n, k, s))).unwrap();
             }
             let data = stream(97);
             let mut expected = Vec::new();
@@ -1751,9 +1520,10 @@ mod tests {
     #[test]
     fn more_shards_than_workers_with_capacity_one_still_drains() {
         // capacity 1 forces the publisher through the park/wake path
-        let mut hub = AsyncHub::with_config(8, 2, 1, Box::new(FifoScheduler));
+        let mut hub =
+            AsyncHub::with_config(8, 2, 1, Box::new(FifoScheduler), ServingConfig::default());
         for _ in 0..8 {
-            hub.register_alg(Toy::new(4, 2, 2)).unwrap();
+            hub.register_engine(count(Toy::new(4, 2, 2))).unwrap();
         }
         for chunk in stream(64).chunks(2) {
             hub.publish(chunk).unwrap();
@@ -1765,9 +1535,10 @@ mod tests {
 
     #[test]
     fn poll_ready_and_try_publish_refuse_instead_of_parking() {
-        let mut hub = AsyncHub::with_config(1, 1, 2, Box::new(FifoScheduler));
+        let mut hub =
+            AsyncHub::with_config(1, 1, 2, Box::new(FifoScheduler), ServingConfig::default());
         // a slow engine wedges the single shard so its queue fills
-        hub.register_alg(Toy::new(4, 1, 2)).unwrap();
+        hub.register_engine(count(Toy::new(4, 1, 2))).unwrap();
         hub.flush().unwrap();
         // stuff the queue to the brim without a worker keeping up:
         // flush() above parked the worker on an empty queue; now race two
@@ -1796,7 +1567,7 @@ mod tests {
             let mut hub = AsyncHub::with_scheduler(8, 3, Box::new(SeededScheduler::new(seed)));
             for i in 0..10usize {
                 let (n, k, s) = (4 * (1 + i % 3), 1 + i % 4, 2 * (1 + i % 3));
-                hub.register_alg(Toy::new(n, k, s)).unwrap();
+                hub.register_engine(count(Toy::new(n, k, s))).unwrap();
             }
             for chunk in stream(60).chunks(7) {
                 hub.publish(chunk).unwrap();
@@ -1813,10 +1584,12 @@ mod tests {
     fn shared_and_grouped_planes_work_and_stats_sum_exactly() {
         let mut hub = AsyncHub::new(8, 2);
         for _ in 0..5 {
-            hub.register_grouped_alg(Toy::new(2, 1, 1), 4, 2).unwrap();
+            hub.register_engine(grouped(Toy::new(2, 1, 1), 4, 2))
+                .unwrap();
         }
         for _ in 0..4 {
-            hub.register_shared_alg(Toy::new(4, 2, 2), 20, 10).unwrap();
+            hub.register_engine(shared(Toy::new(4, 2, 2), 20, 10))
+                .unwrap();
         }
         hub.publish(&stream(8)).unwrap();
         hub.flush().unwrap();
@@ -1834,8 +1607,9 @@ mod tests {
         let mut seq = Hub::new();
         let mut hub = AsyncHub::new(4, 2);
         for k in 1..=3 {
-            seq.register_timed_alg(ToyTimed::new(20, 10, k));
-            hub.register_timed_alg(ToyTimed::new(20, 10, k)).unwrap();
+            seq.register_engine(timed(ToyTimed::new(20, 10, k)).into());
+            hub.register_engine(timed(ToyTimed::new(20, 10, k)))
+                .unwrap();
         }
         let data: Vec<TimedObject> = (0..50)
             .map(|i| TimedObject::new(i, i * 3, ((i * 37) % 101) as f64))
@@ -1854,8 +1628,8 @@ mod tests {
     #[test]
     fn unregister_inspect_move_and_resize_round_trip() {
         let mut hub = AsyncHub::new(6, 2);
-        let a = hub.register_alg(Toy::new(4, 1, 2)).unwrap();
-        let b = hub.register_alg(Toy::new(4, 1, 2)).unwrap();
+        let a = hub.register_engine(count(Toy::new(4, 1, 2))).unwrap();
+        let b = hub.register_engine(count(Toy::new(4, 1, 2))).unwrap();
         hub.publish(&stream(8)).unwrap();
         assert_eq!(hub.inspect(a).unwrap().slides, 4);
         hub.move_query(a, 5).unwrap();
@@ -1877,12 +1651,56 @@ mod tests {
     }
 
     #[test]
+    fn class_hits_survive_resize() {
+        let mut hub = AsyncHub::new(4, 2);
+        for _ in 0..3 {
+            hub.register_engine(grouped(Toy::new(2, 1, 1), 4, 2))
+                .unwrap();
+        }
+        hub.publish(&stream(16)).unwrap();
+        let mut before = hub.stats().unwrap().class_hits;
+        assert!(before > 0, "three same-view members share one class");
+        for shards in [1, 3, 8] {
+            hub.resize(shards).unwrap();
+            let after = hub.stats().unwrap().class_hits;
+            assert!(after >= before, "resize to {shards}: {after} < {before}");
+            hub.publish(&stream(8)).unwrap();
+            before = hub.stats().unwrap().class_hits;
+            assert!(before > after, "the re-scattered class keeps serving");
+        }
+    }
+
+    #[test]
+    fn resized_shards_inherit_the_serving_config() {
+        let config = ServingConfig {
+            result_class_sharing: false,
+            admission_pruning: false,
+        };
+        let mut hub = AsyncHub::with_config(2, 2, 4, Box::new(FifoScheduler), config);
+        // descending scores: with pruning on, every arrival after an open
+        // slide's first would be dominated by k_max = 1 admitted object
+        let falling: Vec<Object> = (0..16).map(|i| Object::new(i, -(i as f64))).collect();
+        hub.register_engine(grouped(Toy::new(2, 1, 1), 4, 2))
+            .unwrap();
+        hub.resize(3).unwrap();
+        // registered on the resized shards: still a solo class
+        hub.register_engine(grouped(Toy::new(2, 1, 1), 4, 2))
+            .unwrap();
+        hub.publish(&falling).unwrap();
+        let stats = hub.stats().unwrap();
+        assert_eq!(stats.result_classes, 2, "no pooling after resize");
+        assert_eq!(stats.class_hits, 0);
+        assert_eq!(stats.pruned, 0, "no pruning after resize");
+        assert_eq!(stats.admitted, 16);
+    }
+
+    #[test]
     fn empty_hub_and_empty_batch_are_noops() {
         let mut hub = AsyncHub::new(0, 0); // clamps to 1/1
         assert_eq!(hub.num_shards(), 1);
         assert_eq!(hub.num_workers(), 1);
         hub.publish(&stream(10)).unwrap();
-        let q = hub.register_alg(Toy::new(2, 1, 2)).unwrap();
+        let q = hub.register_engine(count(Toy::new(2, 1, 2))).unwrap();
         hub.publish(&[]).unwrap();
         assert!(hub.drain().unwrap().is_empty());
         assert_eq!(hub.inspect(q).unwrap().slides, 0);
@@ -1891,11 +1709,12 @@ mod tests {
 
     #[test]
     fn zero_shards_workers_and_capacity_clamp_to_one() {
-        let mut hub = AsyncHub::with_config(0, 0, 0, Box::new(FifoScheduler));
+        let mut hub =
+            AsyncHub::with_config(0, 0, 0, Box::new(FifoScheduler), ServingConfig::default());
         assert_eq!(hub.num_shards(), 1);
         assert_eq!(hub.num_workers(), 1);
         assert!(hub.is_empty());
-        hub.register_alg(Toy::new(2, 1, 1)).unwrap();
+        hub.register_engine(count(Toy::new(2, 1, 1))).unwrap();
         // capacity 1: every publish rendezvous with the shard
         hub.publish(&stream(3)).unwrap();
         hub.flush().unwrap();
@@ -1909,7 +1728,7 @@ mod tests {
     #[test]
     fn inspect_reflects_all_prior_publishes() {
         let mut hub = AsyncHub::new(3, 2);
-        let q = hub.register_alg(Toy::new(4, 2, 2)).unwrap();
+        let q = hub.register_engine(count(Toy::new(4, 2, 2))).unwrap();
         let data = stream(12);
         hub.publish(&data).unwrap();
         let state = hub.inspect(q).unwrap();
@@ -1938,7 +1757,9 @@ mod tests {
     #[test]
     fn timed_inspect_and_unregister_cross_the_shard_boundary() {
         let mut hub = AsyncHub::new(3, 2);
-        let q = hub.register_timed_alg(ToyTimed::new(20, 10, 2)).unwrap();
+        let q = hub
+            .register_engine(timed(ToyTimed::new(20, 10, 2)))
+            .unwrap();
         hub.publish_timed(&timed_stream(40)).unwrap();
         hub.flush().unwrap();
         let state = hub.inspect(q).unwrap();
@@ -1952,8 +1773,10 @@ mod tests {
     fn shared_queries_follow_their_group_even_when_the_hash_disagrees() {
         let mut hub = AsyncHub::new(8, 2);
         let pass = Predicate::default();
-        let founder = hub.register_shared_alg(Toy::new(4, 2, 2), 20, 10).unwrap();
-        let home = hub.placement.shared_groups[&(10, pass)].0;
+        let founder = hub
+            .register_engine(shared(Toy::new(4, 2, 2), 20, 10))
+            .unwrap();
+        let home = hub.placement.groups[&GroupKey::Slide((10, pass))].0;
         assert_eq!(
             home,
             hub.placement.shard_of(founder),
@@ -1962,7 +1785,9 @@ mod tests {
         let mut members = vec![founder];
         let mut disagreements = 0usize;
         for _ in 0..12 {
-            let q = hub.register_shared_alg(Toy::new(4, 2, 2), 20, 10).unwrap();
+            let q = hub
+                .register_engine(shared(Toy::new(4, 2, 2), 20, 10))
+                .unwrap();
             if hub.placement.shard_of(q) != home {
                 disagreements += 1;
             }
@@ -1974,12 +1799,12 @@ mod tests {
             members.push(q);
         }
         assert!(disagreements > 0, "the hash must disagree for this to bite");
-        assert_eq!(hub.placement.shared_groups[&(10, pass)].1, 13);
+        assert_eq!(hub.placement.groups[&GroupKey::Slide((10, pass))].1, 13);
         // placement is invisible in the output: byte-identical to the
         // sequential hub's registration-order delivery
         let mut seq = Hub::new();
         for _ in 0..13 {
-            seq.register_shared_alg(Toy::new(4, 2, 2), 20, 10).unwrap();
+            seq.register_engine(shared(Toy::new(4, 2, 2), 20, 10).into());
         }
         let data = timed_stream(60);
         let mut expected = Vec::new();
@@ -2002,7 +1827,7 @@ mod tests {
             assert!(hub.unregister(q).unwrap().into_shared().is_some());
         }
         assert!(
-            hub.placement.shared_groups.is_empty(),
+            hub.placement.groups.is_empty(),
             "the last member out retires the group's placement"
         );
     }
@@ -2037,21 +1862,21 @@ mod tests {
         // a Bomb on the shared plane: ⟨1, 1, 1⟩ is the reduction of
         // W⟨10, 10⟩ with k = 1, and the first closed slide kills shard 0
         let pass = Predicate::default();
-        let bomb = hub
-            .register_shared_boxed(Box::new(Bomb(WindowSpec::new(1, 1, 1).unwrap())), 10, 10)
-            .unwrap();
-        assert_eq!(hub.placement.shared_groups[&(10, pass)], (0, 1));
+        let bomb: Box<dyn SlidingTopK + Send> = Box::new(Bomb(WindowSpec::new(1, 1, 1).unwrap()));
+        let bomb = Subscription::shared(bomb, 10, 10, pass).unwrap();
+        let bomb = hub.register_engine(bomb).unwrap();
+        assert_eq!(hub.placement.groups[&GroupKey::Slide((10, pass))], (0, 1));
         let _ = hub.publish_timed(&[TimedObject::new(0, 5, 1.0), TimedObject::new(1, 15, 2.0)]);
         let _ = hub.flush();
         // a registration into the group now targets the dead shard: a
         // typed error that must NOT join the membership bookkeeping
         assert_eq!(
-            hub.register_shared_alg(Toy::new(1, 1, 1), 10, 10)
+            hub.register_engine(shared(Toy::new(1, 1, 1), 10, 10))
                 .unwrap_err(),
             SapError::ShardDown { shard: 0 }
         );
         assert_eq!(
-            hub.placement.shared_groups[&(10, pass)],
+            hub.placement.groups[&GroupKey::Slide((10, pass))],
             (0, 1),
             "a failed registration never counts as a member"
         );
@@ -2063,20 +1888,20 @@ mod tests {
             hub.unregister(bomb).unwrap_err(),
             SapError::ShardDown { shard: 0 }
         );
-        assert_eq!(hub.placement.shared_groups[&(10, pass)], (0, 1));
+        assert_eq!(hub.placement.groups[&GroupKey::Slide((10, pass))], (0, 1));
     }
 
     #[test]
     fn registration_survives_a_dead_shard() {
         let mut hub = AsyncHub::new(2, 2);
-        hub.register_alg(Bomb(WindowSpec::new(1, 1, 1).unwrap()))
-            .unwrap();
+        let bomb: Box<dyn SlidingTopK + Send> = Box::new(Bomb(WindowSpec::new(1, 1, 1).unwrap()));
+        hub.register_engine(Subscription::count(bomb)).unwrap();
         let _ = hub.publish(&stream(1)); // kills the Bomb's shard
         let _ = hub.flush(); // make sure the shard is dead
                              // failed registrations burn their id, so retries derive fresh ids
                              // and eventually hash onto the healthy shard
         let q = (0..8)
-            .find_map(|_| hub.register_alg(Toy::new(2, 1, 1)).ok())
+            .find_map(|_| hub.register_engine(count(Toy::new(2, 1, 1))).ok())
             .expect("a healthy shard accepted a registration");
         assert_eq!(hub.inspect(q).unwrap().slides, 0);
     }
@@ -2092,26 +1917,17 @@ mod tests {
         // simulate the regression at the registry level: two shards
         // each founded a slide group with the same slide_duration
         // (routing gone hash-only instead of group-affine)
-        let mut a: ShardRegistry = Registry::with_shard(0);
-        let mut b: ShardRegistry = Registry::with_shard(1);
-        let consumer = || {
-            SharedTimed::from_engine(
-                Box::new(Toy::new(1, 1, 1)) as Box<dyn SlidingTopK + Send>,
-                10,
-                10,
-            )
-            .unwrap()
-        };
-        a.register_shared(
+        let config = ServingConfig::default();
+        let mut a: ShardRegistry = Registry::new(config, Some(0));
+        let mut b: ShardRegistry = Registry::new(config, Some(1));
+        a.register(
             QueryId::from_raw(0),
-            consumer(),
-            Predicate::default(),
+            shared(Toy::new(1, 1, 1), 10, 10),
             Some(0),
         );
-        b.register_shared(
+        b.register(
             QueryId::from_raw(1),
-            consumer(),
-            Predicate::default(),
+            shared(Toy::new(1, 1, 1), 10, 10),
             Some(1),
         );
         let mut seen = GroupKeys::default();

@@ -31,8 +31,11 @@
 //!   queries, grouped by window geometry (slide length + registration
 //!   offset mod `s`): each group ingests every object once and members
 //!   slice their `(n, k)` view from the group digest
-//!   ([`Hub::register_grouped_boxed`](session::Hub::register_grouped_boxed),
-//!   [`HubStats::count_group_hits`]).
+//!   ([`Subscription::grouped`], [`HubStats::count_group_hits`]).
+//!
+//! Every standing query enters a hub through one call —
+//! `register_engine` with a validated [`Subscription`] naming its plane —
+//! and each hub is built with one [`ServingConfig`].
 //!
 //! ## Scaling
 //!
@@ -104,6 +107,7 @@ pub mod predicate;
 pub mod query;
 mod registry;
 pub mod session;
+pub mod subscription;
 #[cfg(test)]
 mod test_support;
 pub mod window;
@@ -131,4 +135,5 @@ pub use session::{
     AnySession, GroupedSession, Hub, HubSession, QueryId, QueryUpdate, Session, SharedSession,
     SlideScratch, TimedSession,
 };
+pub use subscription::{HubSubscription, ServingConfig, ShardSubscription, Subscription};
 pub use window::{Ingest, SlidingTopK, SpecError, TimedIngest, TimedTopK, WindowSpec};

@@ -381,6 +381,18 @@ pub enum QuerySpec {
     Timed(TimedSpec),
 }
 
+impl From<WindowSpec> for QuerySpec {
+    fn from(spec: WindowSpec) -> Self {
+        QuerySpec::Count(spec)
+    }
+}
+
+impl From<TimedSpec> for QuerySpec {
+    fn from(spec: TimedSpec) -> Self {
+        QuerySpec::Timed(spec)
+    }
+}
+
 impl QuerySpec {
     /// The result size, whichever the window model.
     pub fn k(&self) -> usize {

@@ -59,7 +59,7 @@
 //! finds no empty-slide group founds a new geometry class at the current
 //! offset. Group slides served to members are counted as
 //! [`count_group_hits`](HubStats::count_group_hits); slides computed by
-//! isolated count sessions (`register_boxed`) as
+//! isolated count sessions ([`Subscription::count`]) as
 //! [`count_group_rebuilds`](HubStats::count_group_rebuilds), so the
 //! sharing ratio is observable.
 //!
@@ -132,6 +132,7 @@ use crate::session::{
     close_staged, AnySession, GroupedSession, QueryId, QueryUpdate, Session, SharedSession,
     SlideScratch, TimedSession,
 };
+use crate::subscription::{Plane, ServingConfig, Subscription};
 use crate::window::{Ingest, SlidingTopK, TimedIngest, TimedTopK, WindowSpec};
 
 /// A point-in-time summary of a hub's registered queries and how much
@@ -166,7 +167,7 @@ pub struct HubStats {
     /// (mid-stream joins catching up to their group).
     pub digest_rebuilds: u64,
     /// Count-based queries served by the shared count plane
-    /// (`register_grouped_boxed`).
+    /// ([`Subscription::grouped`]).
     pub grouped_queries: usize,
     /// Live count groups (distinct `(slide length, registration offset)`
     /// geometry classes with ≥ 1 grouped member). Shard-local for the
@@ -192,7 +193,7 @@ pub struct HubStats {
     /// strictly dominated them, so they provably cannot appear in the
     /// slide's top-`k_max` digest and no member can ever observe them.
     /// Always 0 while admission pruning is disabled
-    /// (`set_admission_pruning(false)` — the reference arm).
+    /// ([`ServingConfig::admission_pruning`] off — the reference arm).
     pub pruned: u64,
     /// Live result classes across both sharing planes (see the module
     /// docs on result classes): distinct `(n, k, join_slide)` cohorts inside
@@ -204,9 +205,9 @@ pub struct HubStats {
     /// Member emissions served from a class-level computation **beyond**
     /// the one that ran it — per-slide-close work the class memoized
     /// away. Zero while every class is solo (sharing disabled, or no two
-    /// members share a view). Derived observability: resets on
-    /// checkpoint restore and on `resize`, unlike the hit/rebuild
-    /// counters (the checkpoint format predates it and carries no slot).
+    /// members share a view). Survives `AsyncHub::resize` like every
+    /// other counter, but resets on checkpoint restore: the checkpoint
+    /// format predates it and carries no slot.
     pub class_hits: u64,
     /// Times a publisher parked (blocked on a full shard queue) —
     /// [`AsyncHub`](crate::exec::AsyncHub) backpressure. Summed across
@@ -600,9 +601,10 @@ impl Members {
 
 /// The registry's running counters — the sharing and admission counts
 /// `stats()` reports (see the same-named [`HubStats`] fields) — kept
-/// together so the serving paths take them as one argument.
-#[derive(Debug, Default)]
-struct Tally {
+/// together so the serving paths take them as one argument, and so they
+/// travel between registries (restore, resize) as one value.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Tally {
     digest_hits: u64,
     digest_rebuilds: u64,
     count_group_hits: u64,
@@ -611,7 +613,7 @@ struct Tally {
     admitted: u64,
     pruned: u64,
     /// Not persisted (the checkpoint counter section predates it), so it
-    /// resets on restore and resize.
+    /// resets on restore; a resize carries it like the others.
     class_hits: u64,
     /// Sessions the publish paths served one by one.
     #[cfg(test)]
@@ -623,6 +625,20 @@ struct Tally {
 }
 
 impl Tally {
+    /// Adds `other`'s counters (saturating: decoded counters are
+    /// foreign input). The test-only visit probes stay local.
+    pub(crate) fn absorb(&mut self, other: &Tally) {
+        self.digest_hits = self.digest_hits.saturating_add(other.digest_hits);
+        self.digest_rebuilds = self.digest_rebuilds.saturating_add(other.digest_rebuilds);
+        self.count_group_hits = self.count_group_hits.saturating_add(other.count_group_hits);
+        self.count_group_rebuilds = self
+            .count_group_rebuilds
+            .saturating_add(other.count_group_rebuilds);
+        self.admitted = self.admitted.saturating_add(other.admitted);
+        self.pruned = self.pruned.saturating_add(other.pruned);
+        self.class_hits = self.class_hits.saturating_add(other.class_hits);
+    }
+
     #[inline]
     fn visit_session(&mut self) {
         #[cfg(test)]
@@ -699,17 +715,13 @@ pub(crate) struct Registry<C: SlidingTopK, T: TimedTopK> {
     /// `CountGroup::slot`); marked stale whenever `count_groups` changes.
     count_index: PredicateIndex,
     tally: Tally,
-    /// Whether ingest consults the k-skyband dominance gate (default).
-    /// Off, every predicate-passing object is admitted — the reference
-    /// arm, under which `pruned` never ticks.
-    admission_pruning: bool,
-    /// Whether registration may pool view-equivalent members into shared
-    /// result classes (default). Disabled, every grouped registration
-    /// founds a solo class and every shared registration stays solo —
-    /// the pre-memoization serving shape the floor bench compares
-    /// against. Re-classing of *traveling* members (restore, migration)
-    /// ignores the flag where a member cannot serve without its class.
-    class_sharing: bool,
+    /// The hub's serving knobs, fixed for the registry's lifetime.
+    /// `admission_pruning` gates ingest through the k-skyband dominance
+    /// check; `result_class_sharing` lets registration pool
+    /// view-equivalent members into shared result classes (re-classing
+    /// of *traveling* members — restore, migration — ignores it where a
+    /// member cannot serve without its class).
+    config: ServingConfig,
     /// Pooled untimed view of a timed batch (for count-based sessions).
     plain_buf: Vec<Object>,
     /// Pooled running maximum of a timed batch's timestamps — the event
@@ -734,22 +746,7 @@ pub(crate) struct Registry<C: SlidingTopK, T: TimedTopK> {
 
 impl<C: SlidingTopK, T: TimedTopK> Default for Registry<C, T> {
     fn default() -> Self {
-        Registry {
-            sessions: Vec::new(),
-            groups: HashMap::new(),
-            count_groups: HashMap::new(),
-            next_count_gid: 0,
-            served: Vec::new(),
-            digest_index: PredicateIndex::default(),
-            count_index: PredicateIndex::default(),
-            tally: Tally::default(),
-            admission_pruning: true,
-            class_sharing: true,
-            plain_buf: Vec::new(),
-            prefix_max: Vec::new(),
-            update_hint: 0,
-            shard: None,
-        }
+        Registry::new(ServingConfig::default(), None)
     }
 }
 
@@ -774,12 +771,7 @@ pub(crate) struct RegistryParts<C: SlidingTopK, T: TimedTopK> {
     /// Count groups in canonical section order; a grouped session's
     /// `group` field indexes this list (rebased during merge).
     pub(crate) count_groups: Vec<CountGroupState>,
-    pub(crate) digest_hits: u64,
-    pub(crate) digest_rebuilds: u64,
-    pub(crate) count_group_hits: u64,
-    pub(crate) count_group_rebuilds: u64,
-    pub(crate) admitted: u64,
-    pub(crate) pruned: u64,
+    pub(crate) tally: Tally,
 }
 
 impl<C: SlidingTopK, T: TimedTopK> RegistryParts<C, T> {
@@ -794,12 +786,7 @@ impl<C: SlidingTopK, T: TimedTopK> RegistryParts<C, T> {
         let mut sessions = Vec::new();
         let mut groups: Vec<((u64, Predicate), DigestProducer)> = Vec::new();
         let mut count_groups: Vec<CountGroupState> = Vec::new();
-        let mut digest_hits = 0u64;
-        let mut digest_rebuilds = 0u64;
-        let mut count_group_hits = 0u64;
-        let mut count_group_rebuilds = 0u64;
-        let mut admitted = 0u64;
-        let mut pruned = 0u64;
+        let mut tally = Tally::default();
         for mut part in parts {
             // rebase this section's group indices onto the concatenated
             // list BEFORE its sessions dissolve into the shared pool
@@ -823,12 +810,7 @@ impl<C: SlidingTopK, T: TimedTopK> RegistryParts<C, T> {
                 }
                 groups.push((key, producer));
             }
-            digest_hits = digest_hits.saturating_add(part.digest_hits);
-            digest_rebuilds = digest_rebuilds.saturating_add(part.digest_rebuilds);
-            count_group_hits = count_group_hits.saturating_add(part.count_group_hits);
-            count_group_rebuilds = count_group_rebuilds.saturating_add(part.count_group_rebuilds);
-            admitted = admitted.saturating_add(part.admitted);
-            pruned = pruned.saturating_add(part.pruned);
+            tally.absorb(&part.tally);
         }
         sessions.sort_by_key(|(id, _)| *id);
         if sessions.windows(2).any(|w| w[0].0 == w[1].0) {
@@ -1004,12 +986,7 @@ impl<C: SlidingTopK, T: TimedTopK> RegistryParts<C, T> {
             sessions,
             groups,
             count_groups,
-            digest_hits,
-            digest_rebuilds,
-            count_group_hits,
-            count_group_rebuilds,
-            admitted,
-            pruned,
+            tally,
         })
     }
 }
@@ -1056,14 +1033,26 @@ fn consumer_sig<C: SlidingTopK>(consumer: &SharedTimed<C>) -> Vec<u8> {
 }
 
 impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
-    /// A registry tagged with its owning shard index, so group-affinity
-    /// routing bugs trip the debug assertion in
-    /// [`register_shared`](Registry::register_shared) instead of silently
-    /// splitting a slide group across workers.
-    pub(crate) fn with_shard(shard: usize) -> Self {
+    /// An empty registry serving under `config`. `shard` is the owning
+    /// `AsyncHub` shard index (`None` for the sequential hub), so
+    /// group-affinity routing bugs trip the debug assertion in
+    /// [`register`](Registry::register) instead of silently splitting a
+    /// group across workers.
+    pub(crate) fn new(config: ServingConfig, shard: Option<usize>) -> Self {
         Registry {
-            shard: Some(shard),
-            ..Registry::default()
+            sessions: Vec::new(),
+            groups: HashMap::new(),
+            count_groups: HashMap::new(),
+            next_count_gid: 0,
+            served: Vec::new(),
+            digest_index: PredicateIndex::default(),
+            count_index: PredicateIndex::default(),
+            tally: Tally::default(),
+            config,
+            plain_buf: Vec::new(),
+            prefix_max: Vec::new(),
+            update_hint: 0,
+            shard,
         }
     }
 
@@ -1114,8 +1103,33 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         self.sessions.remove(pos)
     }
 
-    pub(crate) fn register_count(&mut self, id: QueryId, alg: C) {
-        self.push_session(id, AnySession::Count(Session::new(alg)));
+    /// Registers a new standing query on the plane its subscription
+    /// names. `home` is the shard the hub routed this registration to
+    /// (`None` from the sequential hub); it must be the shard that owns
+    /// this registry — a group's members all live on the group's home
+    /// shard, the invariant that makes per-shard group counts sum
+    /// exactly in [`HubStats::merge`] and lets a group share one producer
+    /// without cross-thread coordination.
+    pub(crate) fn register(&mut self, id: QueryId, sub: Subscription<C, T>, home: Option<usize>) {
+        debug_assert_eq!(
+            home, self.shard,
+            "routing bug: a registration must land on the shard the hub placed it on"
+        );
+        match sub.plane {
+            Plane::Count(engine) => self.push_session(id, AnySession::Count(Session::new(engine))),
+            Plane::Timed(engine) => {
+                self.push_session(id, AnySession::Timed(TimedSession::new(engine)))
+            }
+            Plane::Shared {
+                consumer,
+                predicate,
+            } => self.register_shared(id, consumer, predicate),
+            Plane::Grouped {
+                consumer,
+                spec,
+                predicate,
+            } => self.register_grouped(id, consumer, spec, predicate),
+        }
     }
 
     /// Registers a count-group member, joining (or founding) the count
@@ -1126,23 +1140,13 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// found a fresh group at the current stream offset otherwise. At
     /// most one group per `s` can have an empty open slide, so the scan
     /// is deterministic.
-    ///
-    /// `home` is the shard the hub routed this registration to (`None`
-    /// from the sequential hub) — same invariant as
-    /// [`register_shared`](Registry::register_shared): a count group's
-    /// members all live on the group's home shard.
-    pub(crate) fn register_grouped(
+    fn register_grouped(
         &mut self,
         id: QueryId,
         consumer: SharedTimed<C>,
         spec: WindowSpec,
         predicate: Predicate,
-        home: Option<usize>,
     ) {
-        debug_assert_eq!(
-            home, self.shard,
-            "count-group routing bug: members of a group must all land on its home shard"
-        );
         // the join rule tests the *observed* fill, not `pending_len` —
         // under admission control a group at a slide boundary may still
         // buffer nothing mid-slide, and joining such a group would skew
@@ -1205,7 +1209,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             .count_groups
             .get_mut(&gid)
             .expect("the member's group was just joined or founded");
-        let joined = self.class_sharing
+        let joined = self.config.result_class_sharing
             && match group
                 .classes
                 .iter_mut()
@@ -1237,32 +1241,11 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         );
     }
 
-    pub(crate) fn register_timed(&mut self, id: QueryId, engine: T) {
-        self.push_session(id, AnySession::Timed(TimedSession::new(engine)));
-    }
-
     /// Registers a digest consumer, joining (or founding) the slide group
     /// for its `slide_duration`. The group's digest depth grows to cover
     /// the new member's `k`; a member joining a group that has already
     /// ingested stream starts in warm-up (see the [module docs](self)).
-    ///
-    /// `home` is the shard the hub routed this registration to (`None`
-    /// from the sequential hub). It must be the shard that owns this
-    /// registry: a slide group's members all live on the group's home
-    /// shard — the invariant that makes per-shard group counts sum
-    /// exactly in [`HubStats::merge`] and lets a group share one
-    /// producer without cross-thread coordination.
-    pub(crate) fn register_shared(
-        &mut self,
-        id: QueryId,
-        consumer: SharedTimed<C>,
-        predicate: Predicate,
-        home: Option<usize>,
-    ) {
-        debug_assert_eq!(
-            home, self.shard,
-            "slide-group routing bug: members of a group must all land on its home shard"
-        );
+    fn register_shared(&mut self, id: QueryId, consumer: SharedTimed<C>, predicate: Predicate) {
         let sd = consumer.slide_duration();
         let k = consumer.k();
         let pos = self.sessions.len();
@@ -1296,7 +1279,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         // the duplicate consumer droppable). Mid-stream joiners warm up
         // solo and stay solo after promotion: their class membership is
         // not provable while their partial join slide is in the window.
-        let session = if join_slide.is_none() && self.class_sharing {
+        let session = if join_slide.is_none() && self.config.result_class_sharing {
             let spec = TimedSpec {
                 window_duration: consumer.window_duration(),
                 slide_duration: sd,
@@ -1449,7 +1432,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             count_groups,
             count_index,
             tally,
-            admission_pruning,
+            config,
             update_hint,
             ..
         } = self;
@@ -1471,7 +1454,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             count_groups,
             count_index,
             tally,
-            *admission_pruning,
+            config.admission_pruning,
             objects,
             &mut out,
             hint,
@@ -1645,7 +1628,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             digest_index,
             count_index,
             tally,
-            admission_pruning,
+            config,
             plain_buf,
             prefix_max,
             update_hint,
@@ -1660,7 +1643,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             digest_index,
             prefix_max,
             objects,
-            *admission_pruning,
+            config.admission_pruning,
             tally,
         );
         let mut out = Vec::new();
@@ -1703,7 +1686,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             count_groups,
             count_index,
             tally,
-            *admission_pruning,
+            config.admission_pruning,
             plain_buf,
             &mut out,
             hint,
@@ -1974,36 +1957,6 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         }
     }
 
-    /// Enables/disables pooling of view-equivalent members into result
-    /// classes at registration (see [`HubStats::class_hits`]). Existing
-    /// classes are untouched, and traveling members (restore, migration)
-    /// re-class regardless — a consumer-less follower cannot serve
-    /// without its class.
-    pub(crate) fn set_class_sharing(&mut self, enabled: bool) {
-        self.class_sharing = enabled;
-    }
-
-    /// Enables/disables the k-skyband dominance gate at ingest (see
-    /// [`HubStats::pruned`]). Enabling rebuilds every group's gate from
-    /// its open slide's admitted buffer — the gates go stale while the
-    /// knob is off (nothing offers scores to them), and pruning against
-    /// a stale gate would be unsound after a re-enable mid-slide.
-    pub(crate) fn set_admission_pruning(&mut self, enabled: bool) {
-        if enabled && !self.admission_pruning {
-            for group in self.groups.values_mut() {
-                group
-                    .gate
-                    .rebuild(group.producer.k_max(), group.producer.pending());
-            }
-            for group in self.count_groups.values_mut() {
-                group
-                    .gate
-                    .rebuild(group.producer.k_max(), group.producer.pending());
-            }
-        }
-        self.admission_pruning = enabled;
-    }
-
     pub(crate) fn stats(&self) -> HubStats {
         let result_classes = self
             .groups
@@ -2038,6 +1991,28 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
 
     // ---- durability plane -------------------------------------------------
 
+    /// The canonical count-group order — live gids, and each gid's
+    /// position. Live gids are registry-local and shift across epochs, so
+    /// grouped sessions leave a registry (checkpoint, ejection)
+    /// referencing their group by position in this order instead.
+    /// `(slide length, slide fill, predicate)` is a unique key — distinct
+    /// same-`(s, predicate)` groups always sit at distinct offsets mod
+    /// `s` — and is derived purely from state the section carries, so
+    /// encode and decode agree by construction.
+    fn canonical_count_order(&self) -> (Vec<u64>, HashMap<u64, u64>) {
+        let mut order: Vec<u64> = self.count_groups.keys().copied().collect();
+        order.sort_unstable_by_key(|gid| {
+            let g = &self.count_groups[gid];
+            (g.slide_len, g.fill(), g.predicate)
+        });
+        let index_of = order
+            .iter()
+            .enumerate()
+            .map(|(i, gid)| (*gid, i as u64))
+            .collect();
+        (order, index_of)
+    }
+
     /// Serializes this registry's full serving state as one
     /// `tags::REGISTRY` section body: sessions in registration order
     /// (each with an engine-name + spec header and a replayable body),
@@ -2045,23 +2020,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// deterministic regardless of `HashMap` iteration order), and the
     /// sharing counters.
     pub(crate) fn encode_checkpoint(&self, enc: &mut Encoder) {
-        // canonical count-group order: live gids are registry-local and
-        // shift across epochs, so grouped sessions reference their group
-        // by position in this order instead. `(slide length, slide fill,
-        // predicate)` is a unique key — distinct same-`(s, predicate)`
-        // groups always sit at distinct offsets mod `s` — and is derived
-        // purely from state the section carries, so encode and decode
-        // agree by construction.
-        let mut order: Vec<u64> = self.count_groups.keys().copied().collect();
-        order.sort_unstable_by_key(|gid| {
-            let g = &self.count_groups[gid];
-            (g.slide_len, g.fill(), g.predicate)
-        });
-        let index_of: HashMap<u64, u64> = order
-            .iter()
-            .enumerate()
-            .map(|(i, gid)| (*gid, i as u64))
-            .collect();
+        let (order, index_of) = self.canonical_count_order();
         enc.section(tags::SESSIONS, |e| {
             e.put_u64(self.sessions.len() as u64);
             for (id, session) in &self.sessions {
@@ -2351,34 +2310,29 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             }
             sec.finish()?;
         }
-        let (digest_hits, digest_rebuilds, count_group_hits, count_group_rebuilds);
+        // `class_hits` has no slot in the format, so it restores as 0
+        let mut tally = Tally::default();
         {
             let mut sec = dec.section(tags::COUNTERS)?;
-            digest_hits = sec.take_u64()?;
-            digest_rebuilds = sec.take_u64()?;
-            count_group_hits = sec.take_u64()?;
-            count_group_rebuilds = sec.take_u64()?;
+            tally.digest_hits = sec.take_u64()?;
+            tally.digest_rebuilds = sec.take_u64()?;
+            tally.count_group_hits = sec.take_u64()?;
+            tally.count_group_rebuilds = sec.take_u64()?;
             sec.finish()?;
         }
         // v2 images predate the admission plane: restore with the
         // counters reset rather than guessing
-        let (mut admitted, mut pruned) = (0u64, 0u64);
         if version >= 3 {
             let mut sec = dec.section(tags::ADMISSION)?;
-            admitted = sec.take_u64()?;
-            pruned = sec.take_u64()?;
+            tally.admitted = sec.take_u64()?;
+            tally.pruned = sec.take_u64()?;
             sec.finish()?;
         }
         Ok(RegistryParts {
             sessions,
             groups,
             count_groups,
-            digest_hits,
-            digest_rebuilds,
-            count_group_hits,
-            count_group_rebuilds,
-            admitted,
-            pruned,
+            tally,
         })
     }
 
@@ -2387,7 +2341,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// Validation happens in [`RegistryParts::merge`]; group member
     /// counts are recomputed from the shared sessions themselves.
     pub(crate) fn from_parts(parts: Vec<RegistryParts<C, T>>) -> Result<Self, SapError> {
-        Ok(Self::from_merged(RegistryParts::merge(parts)?, None))
+        Ok(Self::from_merged(RegistryParts::merge(parts)?))
     }
 
     /// Builds a registry from already-merged, already-validated parts.
@@ -2398,17 +2352,14 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// emission, and encoded consumer state imply identical futures) —
     /// so a restored registry serves exactly like the one that wrote the
     /// checkpoint, without the checkpoint carrying any class structure.
-    pub(crate) fn from_merged(parts: RegistryParts<C, T>, shard: Option<usize>) -> Self {
+    /// The image carries no serving knobs, so the registry gets the
+    /// default [`ServingConfig`].
+    fn from_merged(parts: RegistryParts<C, T>) -> Self {
         let RegistryParts {
             mut sessions,
             groups: group_list,
             count_groups: count_group_list,
-            digest_hits,
-            digest_rebuilds,
-            count_group_hits,
-            count_group_rebuilds,
-            admitted,
-            pruned,
+            tally,
         } = parts;
         let mut groups: HashMap<(u64, Predicate), DigestGroup<C>> = group_list
             .into_iter()
@@ -2536,21 +2487,8 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             served,
             digest_index,
             count_index,
-            tally: Tally {
-                digest_hits,
-                digest_rebuilds,
-                count_group_hits,
-                count_group_rebuilds,
-                admitted,
-                pruned,
-                ..Tally::default()
-            },
-            admission_pruning: true,
-            class_sharing: true,
-            plain_buf: Vec::new(),
-            prefix_max: Vec::new(),
-            update_hint: 0,
-            shard,
+            tally,
+            ..Registry::default()
         }
     }
 
@@ -2693,24 +2631,11 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
         debug_assert!(prev.is_none(), "installing over a live slide group");
     }
 
-    /// Adds restored sharing counters (a restore assigns the checkpoint's
-    /// summed counters wholesale to one shard; a migration moves none).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn install_counters(
-        &mut self,
-        hits: u64,
-        rebuilds: u64,
-        count_hits: u64,
-        count_rebuilds: u64,
-        admitted: u64,
-        pruned: u64,
-    ) {
-        self.tally.digest_hits += hits;
-        self.tally.digest_rebuilds += rebuilds;
-        self.tally.count_group_hits += count_hits;
-        self.tally.count_group_rebuilds += count_rebuilds;
-        self.tally.admitted += admitted;
-        self.tally.pruned += pruned;
+    /// Adds restored or re-scattered counters (a restore or resize
+    /// assigns the summed counters wholesale to one shard; a migration
+    /// moves none).
+    pub(crate) fn install_counters(&mut self, tally: &Tally) {
+        self.tally.absorb(tally);
     }
 
     /// Installs a count group and its member sessions as one unit (the
@@ -2914,16 +2839,13 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
     /// through this before re-scattering onto the new shard set.
     pub(crate) fn eject_all(&mut self) -> RegistryParts<C, T> {
         // dissolve every result class back into the session store first
-        // (same protocol as the single-group ejects); the class-hit
-        // counter has no slot in `RegistryParts`, so it resets here —
-        // documented on `HubStats::class_hits`
+        // (same protocol as the single-group ejects)
         for group in self.groups.values_mut() {
             Self::dissolve_shared_classes(&mut self.sessions, group);
         }
         for group in self.count_groups.values_mut() {
             Self::dissolve_count_classes(&mut self.sessions, group);
         }
-        self.tally.class_hits = 0;
         let mut groups: Vec<((u64, Predicate), DigestProducer)> = self
             .groups
             .drain()
@@ -2931,18 +2853,9 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             .collect();
         groups.sort_unstable_by_key(|(key, _)| *key);
         // rewrite grouped references from live gids to canonical
-        // positions (same order as encode_checkpoint), since parts carry
-        // count groups as an index-addressed list
-        let mut order: Vec<u64> = self.count_groups.keys().copied().collect();
-        order.sort_unstable_by_key(|gid| {
-            let g = &self.count_groups[gid];
-            (g.slide_len, g.fill(), g.predicate)
-        });
-        let index_of: HashMap<u64, u64> = order
-            .iter()
-            .enumerate()
-            .map(|(i, gid)| (*gid, i as u64))
-            .collect();
+        // positions, since parts carry count groups as an index-addressed
+        // list
+        let (order, index_of) = self.canonical_count_order();
         let mut sessions = std::mem::take(&mut self.sessions);
         self.served.clear();
         self.digest_index.mark_stale();
@@ -2974,12 +2887,7 @@ impl<C: SlidingTopK, T: TimedTopK> Registry<C, T> {
             sessions,
             groups,
             count_groups,
-            digest_hits: tally.digest_hits,
-            digest_rebuilds: tally.digest_rebuilds,
-            count_group_hits: tally.count_group_hits,
-            count_group_rebuilds: tally.count_group_rebuilds,
-            admitted: tally.admitted,
-            pruned: tally.pruned,
+            tally,
         }
     }
 }
@@ -3000,16 +2908,16 @@ mod tests {
         let pass = Predicate::default();
         let key = (10u64, pass);
         let mut reg: Registry<Toy, ToyTimed> = Registry::default();
-        reg.register_shared(QueryId::from_raw(0), consumer(20, 10, 1), pass, None);
+        reg.register_shared(QueryId::from_raw(0), consumer(20, 10, 1), pass);
         assert_eq!(reg.groups[&key].producer.k_max(), 1);
-        reg.register_shared(QueryId::from_raw(1), consumer(40, 10, 5), pass, None);
+        reg.register_shared(QueryId::from_raw(1), consumer(40, 10, 5), pass);
         assert_eq!(reg.groups[&key].producer.k_max(), 5, "grows on join");
         // the deepest member leaving shrinks the depth back
         reg.unregister(QueryId::from_raw(1)).unwrap();
         assert_eq!(reg.groups[&key].producer.k_max(), 1, "shrinks on leave");
         // a non-deepest member leaving does not
-        reg.register_shared(QueryId::from_raw(2), consumer(40, 10, 3), pass, None);
-        reg.register_shared(QueryId::from_raw(3), consumer(20, 10, 2), pass, None);
+        reg.register_shared(QueryId::from_raw(2), consumer(40, 10, 3), pass);
+        reg.register_shared(QueryId::from_raw(3), consumer(20, 10, 2), pass);
         reg.unregister(QueryId::from_raw(3)).unwrap();
         assert_eq!(reg.groups[&key].producer.k_max(), 3);
         // the last member out retires the group
@@ -3026,9 +2934,8 @@ mod tests {
             QueryId::from_raw(0),
             consumer(20, 10, 1),
             Predicate::default(),
-            None,
         );
-        reg.register_shared(QueryId::from_raw(1), consumer(20, 10, 4), hot, None);
+        reg.register_shared(QueryId::from_raw(1), consumer(20, 10, 4), hot);
         assert_eq!(
             reg.groups.len(),
             2,
@@ -3037,7 +2944,7 @@ mod tests {
         assert_eq!(reg.groups[&(10, Predicate::default())].producer.k_max(), 1);
         assert_eq!(reg.groups[&(10, hot)].producer.k_max(), 4);
         // a same-predicate joiner lands in the existing sub-group
-        reg.register_shared(QueryId::from_raw(2), consumer(40, 10, 2), hot, None);
+        reg.register_shared(QueryId::from_raw(2), consumer(40, 10, 2), hot);
         assert_eq!(reg.groups.len(), 2);
         assert_eq!(reg.groups[&(10, hot)].members, 2);
     }
@@ -3073,10 +2980,10 @@ mod tests {
             let predicate = Predicate::any().tag(TAGS, (i / 2) % TAGS);
             let k = 1 + (i as usize / 2) % 3;
             if i % 2 == 0 {
-                reg.register_shared(QueryId::from_raw(i), consumer(200, 100, k), predicate, None);
+                reg.register_shared(QueryId::from_raw(i), consumer(200, 100, k), predicate);
             } else {
                 let (consumer, spec) = count_consumer(100, k, 50);
-                reg.register_grouped(QueryId::from_raw(i), consumer, spec, predicate, None);
+                reg.register_grouped(QueryId::from_raw(i), consumer, spec, predicate);
             }
         }
         // warm-up: ten digest slides (the last one closing at t = 1000)

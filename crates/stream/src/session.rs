@@ -32,7 +32,7 @@
 //! [`events`](crate::events) module for the snapshot contract.
 //!
 //! ```
-//! use sap_stream::{Hub, Ingest, Object};
+//! use sap_stream::{Hub, Ingest, Object, Subscription};
 //! # use sap_stream::{OpStats, SlidingTopK, WindowSpec};
 //! # struct Toy(WindowSpec, Vec<Object>);
 //! # impl sap_stream::checkpoint::CheckpointState for Toy {}
@@ -45,7 +45,8 @@
 //! #     fn name(&self) -> &str { "toy" }
 //! # }
 //! let mut hub = Hub::new();
-//! let q = hub.register_alg(Toy(WindowSpec::new(2, 1, 2).unwrap(), Vec::new()));
+//! let engine: Box<dyn SlidingTopK> = Box::new(Toy(WindowSpec::new(2, 1, 2).unwrap(), Vec::new()));
+//! let q = hub.register_engine(Subscription::count(engine));
 //! let updates = hub.publish(&[Object::new(0, 1.0), Object::new(1, 5.0)]);
 //! assert_eq!(updates.len(), 1);
 //! assert_eq!(updates[0].query, q);
@@ -61,6 +62,7 @@ use crate::object::{Object, TimedObject};
 use crate::predicate::Predicate;
 use crate::query::{SapError, TimedSpec};
 use crate::registry::{HubStats, Registry};
+use crate::subscription::{HubSubscription, ServingConfig};
 use crate::window::{Ingest, SlidingTopK, TimedIngest, TimedTopK, WindowSpec};
 
 /// Reusable per-session buffers for slide completion — the pooled half of
@@ -1378,12 +1380,14 @@ pub struct QueryUpdate {
 /// buffer, and each session slides exactly when *its* boundary is reached.
 /// Results are delivered in registration order.
 ///
-/// All window models share the hub. Count-based queries
-/// ([`register_boxed`](Hub::register_boxed)) slide on arrival counts;
-/// time-based queries slide on event time, either isolated
-/// ([`register_timed_boxed`](Hub::register_timed_boxed)) or on the
-/// **shared digest plane**
-/// ([`register_shared_boxed`](Hub::register_shared_boxed)), where every
+/// All window models share the hub, and every query enters through one
+/// call, [`register_engine`](Hub::register_engine), with a
+/// [`Subscription`](crate::Subscription) naming its plane. Count-based
+/// queries ([`Subscription::count`](crate::Subscription::count)) slide
+/// on arrival counts; time-based queries slide on event time, either
+/// isolated ([`Subscription::timed`](crate::Subscription::timed)) or on
+/// the **shared digest plane**
+/// ([`Subscription::shared`](crate::Subscription::shared)), where every
 /// query with the same `slide_duration` is served from one per-slide
 /// top-`k_max` digest instead of recomputing it per session. A stream
 /// published with [`publish_timed`](Hub::publish_timed) feeds all of
@@ -1407,9 +1411,59 @@ impl std::fmt::Debug for Hub {
 }
 
 impl Hub {
-    /// An empty hub.
+    /// An empty hub with the default [`ServingConfig`].
     pub fn new() -> Self {
         Hub::default()
+    }
+
+    /// An empty hub serving under `config`, fixed for its lifetime.
+    ///
+    /// Same-class members share one snapshot allocation per close, and
+    /// with [`result_class_sharing`](ServingConfig::result_class_sharing)
+    /// off every member founds its own class:
+    ///
+    /// ```
+    /// use sap_stream::{Hub, HubSubscription, Object, Predicate, ServingConfig, Subscription};
+    /// # use sap_stream::{OpStats, SlidingTopK, WindowSpec};
+    /// # struct Toy(WindowSpec, Vec<Object>);
+    /// # impl sap_stream::checkpoint::CheckpointState for Toy {}
+    /// # impl SlidingTopK for Toy {
+    /// #     fn spec(&self) -> WindowSpec { self.0 }
+    /// #     fn slide(&mut self, b: &[Object]) -> &[Object] { self.1 = b.to_vec(); &self.1 }
+    /// #     fn candidate_count(&self) -> usize { 0 }
+    /// #     fn memory_bytes(&self) -> usize { 0 }
+    /// #     fn stats(&self) -> OpStats { OpStats::default() }
+    /// #     fn name(&self) -> &str { "toy" }
+    /// # }
+    /// // a ⟨n = 4, k = 2, s = 2⟩ query on the grouped plane, whose engine
+    /// // runs the private ⟨(n/s)·k, k, k⟩ = ⟨4, 2, 2⟩ reduction
+    /// let query = || -> HubSubscription {
+    ///     let engine: Box<dyn SlidingTopK> = Box::new(Toy(WindowSpec::new(4, 2, 2).unwrap(), Vec::new()));
+    ///     Subscription::grouped(engine, 4, 2, Predicate::any()).unwrap()
+    /// };
+    /// let batch: Vec<Object> = (0..2).map(|i| Object::new(i, i as f64)).collect();
+    ///
+    /// let mut pooled = Hub::new();
+    /// pooled.register_engine(query());
+    /// pooled.register_engine(query());
+    /// let updates = pooled.publish(&batch);
+    /// assert!(updates[0].result.snapshot.ptr_eq(&updates[1].result.snapshot));
+    /// assert_eq!(pooled.stats().result_classes, 1);
+    /// assert_eq!(pooled.stats().class_hits, 1);
+    ///
+    /// let config = ServingConfig { result_class_sharing: false, ..ServingConfig::default() };
+    /// let mut solo = Hub::with_config(config);
+    /// solo.register_engine(query());
+    /// solo.register_engine(query());
+    /// assert_eq!(solo.publish(&batch), updates, "byte-identical either way");
+    /// assert_eq!(solo.stats().result_classes, 2);
+    /// assert_eq!(solo.stats().class_hits, 0);
+    /// ```
+    pub fn with_config(config: ServingConfig) -> Self {
+        Hub {
+            registry: Registry::new(config, None),
+            next_id: 0,
+        }
     }
 
     fn next_id(&mut self) -> QueryId {
@@ -1418,165 +1472,15 @@ impl Hub {
         id
     }
 
-    /// Registers an algorithm instance as a new standing count-based
-    /// query and returns its handle.
-    pub fn register_boxed(&mut self, alg: Box<dyn SlidingTopK>) -> QueryId {
+    /// Registers a validated [`Subscription`](crate::Subscription) as a
+    /// new standing query on the plane it names and returns its handle.
+    /// The query only ever sees objects published after this call.
+    /// Registration cannot fail: every check ran when the subscription
+    /// was built.
+    pub fn register_engine(&mut self, sub: HubSubscription) -> QueryId {
         let id = self.next_id();
-        self.registry.register_count(id, alg);
+        self.registry.register(id, sub, None);
         id
-    }
-
-    /// Registers an owned algorithm instance (convenience over
-    /// [`register_boxed`](Hub::register_boxed)).
-    pub fn register_alg<A: SlidingTopK + 'static>(&mut self, alg: A) -> QueryId {
-        self.register_boxed(Box::new(alg))
-    }
-
-    /// Registers a time-based engine as a new standing query and returns
-    /// its handle. The query slides on event time, so it advances on
-    /// [`publish_timed`](Hub::publish_timed) and
-    /// [`advance_time`](Hub::advance_time) only.
-    ///
-    /// The engine is private to this query — every registered adapter
-    /// re-derives its own per-slide truncation. Queries that share a
-    /// `slide_duration` can split that work through the digest plane
-    /// instead: see [`register_shared_boxed`](Hub::register_shared_boxed).
-    pub fn register_timed_boxed(&mut self, engine: Box<dyn TimedTopK>) -> QueryId {
-        let id = self.next_id();
-        self.registry.register_timed(id, engine);
-        id
-    }
-
-    /// Registers an owned time-based engine (convenience over
-    /// [`register_timed_boxed`](Hub::register_timed_boxed)).
-    pub fn register_timed_alg<E: TimedTopK + 'static>(&mut self, engine: E) -> QueryId {
-        self.register_timed_boxed(Box::new(engine))
-    }
-
-    /// Registers a time-based query `W⟨window_duration, slide_duration⟩`
-    /// on the **shared digest plane**: the hub computes each slide's
-    /// top-`k_max` digest once per distinct `slide_duration` and serves
-    /// every member query its own `k ≤ k_max` prefix, so the per-slide
-    /// truncation cost scales with the number of slide groups instead of
-    /// the number of queries. Results are byte-identical to an isolated
-    /// registration of the same engine.
-    ///
-    /// `engine` answers the private count-based reduction and must be
-    /// fresh and configured over `⟨(n/s)·k, k, k⟩` for its own `k` —
-    /// validated here, wrong geometry is a typed [`SapError::Spec`].
-    /// Queries may join and leave groups at runtime; a mid-stream join
-    /// warms up privately for at most the remainder of the open slide
-    /// before sharing begins (see `Hub::stats` for hit/rebuild counts).
-    pub fn register_shared_boxed(
-        &mut self,
-        engine: Box<dyn SlidingTopK>,
-        window_duration: u64,
-        slide_duration: u64,
-    ) -> Result<QueryId, SapError> {
-        self.register_shared_filtered_boxed(
-            engine,
-            window_duration,
-            slide_duration,
-            Predicate::default(),
-        )
-    }
-
-    /// [`register_shared_boxed`](Hub::register_shared_boxed) with a
-    /// **subscription predicate**: the query ranks only objects the
-    /// predicate accepts, as if the rejected objects had never carried a
-    /// score — they still advance event time (slide boundaries are
-    /// stream-global). Members of one slide group with different
-    /// predicates are served by disjoint sub-groups, so a selective
-    /// predicate never changes a pass-all neighbor's results. An invalid
-    /// predicate (empty score range) is a typed
-    /// [`SapError::InvalidPredicate`].
-    pub fn register_shared_filtered_boxed(
-        &mut self,
-        engine: Box<dyn SlidingTopK>,
-        window_duration: u64,
-        slide_duration: u64,
-        predicate: Predicate,
-    ) -> Result<QueryId, SapError> {
-        predicate
-            .validate()
-            .map_err(|reason| SapError::InvalidPredicate { reason })?;
-        let consumer = SharedTimed::from_engine(engine, window_duration, slide_duration)
-            .map_err(SapError::Spec)?;
-        let id = self.next_id();
-        self.registry.register_shared(id, consumer, predicate, None);
-        Ok(id)
-    }
-
-    /// Registers an owned engine on the shared digest plane (convenience
-    /// over [`register_shared_boxed`](Hub::register_shared_boxed)).
-    pub fn register_shared_alg<A: SlidingTopK + 'static>(
-        &mut self,
-        engine: A,
-        window_duration: u64,
-        slide_duration: u64,
-    ) -> Result<QueryId, SapError> {
-        self.register_shared_boxed(Box::new(engine), window_duration, slide_duration)
-    }
-
-    /// Registers a count-based query `⟨n, k, s⟩` on the **shared count
-    /// plane**: queries are grouped by window geometry — slide length
-    /// `s` and registration offset mod `s` — so each slide's top-`k_max`
-    /// is computed once per geometry class and every member slices its
-    /// own `(n, k)` answer from it. Results are byte-identical to an
-    /// isolated [`register_boxed`](Hub::register_boxed) of the same
-    /// query; per-object cost scales with the number of geometry classes
-    /// instead of the number of registered queries (see `Hub::stats` for
-    /// the count-group hit counters).
-    ///
-    /// `engine` answers the private reduction and must be fresh and
-    /// configured over `⟨(n/s)·k, k, k⟩` for its own `k` — the same
-    /// Appendix-A reduction the digest plane uses, with arrival counts
-    /// standing in for timestamps. Wrong geometry (including `k > n` or
-    /// `s ∤ n` on the original spec) is a typed [`SapError::Spec`].
-    pub fn register_grouped_boxed(
-        &mut self,
-        engine: Box<dyn SlidingTopK>,
-        n: usize,
-        s: usize,
-    ) -> Result<QueryId, SapError> {
-        self.register_grouped_filtered_boxed(engine, n, s, Predicate::default())
-    }
-
-    /// [`register_grouped_boxed`](Hub::register_grouped_boxed) with a
-    /// **subscription predicate**: the query ranks only objects the
-    /// predicate accepts; rejected arrivals still count toward slide
-    /// boundaries (the count window is over the *stream*, the predicate
-    /// filters the *ranking*). Predicate-disjoint members of one geometry
-    /// class live in separate sub-groups. An invalid predicate (empty
-    /// score range) is a typed [`SapError::InvalidPredicate`].
-    pub fn register_grouped_filtered_boxed(
-        &mut self,
-        engine: Box<dyn SlidingTopK>,
-        n: usize,
-        s: usize,
-        predicate: Predicate,
-    ) -> Result<QueryId, SapError> {
-        predicate
-            .validate()
-            .map_err(|reason| SapError::InvalidPredicate { reason })?;
-        let spec = WindowSpec::new(n, engine.spec().k, s).map_err(SapError::Spec)?;
-        let consumer =
-            SharedTimed::from_engine(engine, n as u64, s as u64).map_err(SapError::Spec)?;
-        let id = self.next_id();
-        self.registry
-            .register_grouped(id, consumer, spec, predicate, None);
-        Ok(id)
-    }
-
-    /// Registers an owned engine on the shared count plane (convenience
-    /// over [`register_grouped_boxed`](Hub::register_grouped_boxed)).
-    pub fn register_grouped_alg<A: SlidingTopK + 'static>(
-        &mut self,
-        engine: A,
-        n: usize,
-        s: usize,
-    ) -> Result<QueryId, SapError> {
-        self.register_grouped_boxed(Box::new(engine), n, s)
     }
 
     /// Removes a query, returning its session (with the algorithm's full
@@ -1677,100 +1581,6 @@ impl Hub {
         self.registry.stats()
     }
 
-    /// Enables or disables **result-class sharing** for *future*
-    /// registrations (default: enabled). Disabled, every new member
-    /// founds a solo class — the pre-memoization serving shape, where
-    /// each member re-runs its own reduction and diff per slide close —
-    /// which is the reference arm the floor bench and the equivalence
-    /// tests compare the memoized path against. Existing classes are
-    /// left as they are; results are byte-identical either way.
-    ///
-    /// Same-class members share one snapshot allocation per close:
-    ///
-    /// ```
-    /// use sap_stream::{Hub, Object};
-    /// # use sap_stream::{OpStats, SlidingTopK, WindowSpec};
-    /// # struct Toy(WindowSpec, Vec<Object>);
-    /// # impl sap_stream::checkpoint::CheckpointState for Toy {}
-    /// # impl SlidingTopK for Toy {
-    /// #     fn spec(&self) -> WindowSpec { self.0 }
-    /// #     fn slide(&mut self, b: &[Object]) -> &[Object] { self.1 = b.to_vec(); &self.1 }
-    /// #     fn candidate_count(&self) -> usize { 0 }
-    /// #     fn memory_bytes(&self) -> usize { 0 }
-    /// #     fn stats(&self) -> OpStats { OpStats::default() }
-    /// #     fn name(&self) -> &str { "toy" }
-    /// # }
-    /// # fn reduced() -> Toy { Toy(WindowSpec::new(4, 2, 2).unwrap(), Vec::new()) }
-    /// let mut hub = Hub::new();
-    /// // two copies of the same ⟨n = 4, k = 2, s = 2⟩ query (`reduced()`
-    /// // builds each member's engine over the grouped plane's private
-    /// // ⟨(n/s)·k, k, k⟩ reduction): one result class, one computation
-    /// hub.register_grouped_alg(reduced(), 4, 2).unwrap();
-    /// hub.register_grouped_alg(reduced(), 4, 2).unwrap();
-    /// let batch: Vec<Object> = (0..2).map(|i| Object::new(i, i as f64)).collect();
-    /// let updates = hub.publish(&batch);
-    /// assert_eq!(updates.len(), 2);
-    /// assert!(updates[0].result.snapshot.ptr_eq(&updates[1].result.snapshot));
-    /// assert_eq!(hub.stats().result_classes, 1);
-    /// assert_eq!(hub.stats().class_hits, 1);
-    ///
-    /// // knob off: the next registration founds its own solo class
-    /// hub.set_result_class_sharing(false);
-    /// hub.register_grouped_alg(reduced(), 4, 2).unwrap();
-    /// assert_eq!(hub.stats().result_classes, 2);
-    /// ```
-    pub fn set_result_class_sharing(&mut self, enabled: bool) {
-        self.registry.set_class_sharing(enabled);
-    }
-
-    /// Enables or disables **ingest-side dominance pruning** (default:
-    /// enabled). Enabled, each shared slide group and count group keeps a
-    /// running top-`k_max` score bound over its open slide and skips
-    /// admitting objects that `k_max` already-admitted open-slide objects
-    /// strictly dominate — such objects cannot appear in the slide's
-    /// digest, so every member's results are byte-identical either way
-    /// (the k-skyband criterion, generalized to the group's deepest
-    /// member). Pruned objects still advance arrival ordinals and slide
-    /// boundaries, so slide numbering, checkpoints, and drain order do
-    /// not move. Disabled, every object is admitted — the reference arm —
-    /// and [`HubStats::pruned`] stays `0`.
-    ///
-    /// Turning the knob **on** mid-stream rebuilds each group's bound
-    /// from its open slide's pending buffer, so the invariant holds from
-    /// the first object after the toggle.
-    ///
-    /// ```
-    /// use sap_stream::{Hub, Object};
-    /// # use sap_stream::{OpStats, SlidingTopK, WindowSpec};
-    /// # struct Toy(WindowSpec, Vec<Object>);
-    /// # impl sap_stream::checkpoint::CheckpointState for Toy {}
-    /// # impl SlidingTopK for Toy {
-    /// #     fn spec(&self) -> WindowSpec { self.0 }
-    /// #     fn slide(&mut self, b: &[Object]) -> &[Object] { self.1 = b.to_vec(); &self.1 }
-    /// #     fn candidate_count(&self) -> usize { 0 }
-    /// #     fn memory_bytes(&self) -> usize { 0 }
-    /// #     fn stats(&self) -> OpStats { OpStats::default() }
-    /// #     fn name(&self) -> &str { "toy" }
-    /// # }
-    /// # fn reduced() -> Toy { Toy(WindowSpec::new(4, 1, 1).unwrap(), Vec::new()) }
-    /// let mut hub = Hub::new();
-    /// hub.register_grouped_alg(reduced(), 16, 4).unwrap();
-    /// // descending scores: after the first, every arrival in the open
-    /// // slide is dominated by k_max = 1 admitted object and is pruned
-    /// let batch: Vec<Object> = (0..4).map(|i| Object::new(i, -(i as f64))).collect();
-    /// hub.publish(&batch);
-    /// assert_eq!(hub.stats().pruned, 3);
-    ///
-    /// // knob off: the reference arm admits everything
-    /// hub.set_admission_pruning(false);
-    /// hub.publish(&batch);
-    /// assert_eq!(hub.stats().pruned, 3); // unchanged
-    /// assert_eq!(hub.stats().admitted, 1 + 4);
-    /// ```
-    pub fn set_admission_pruning(&mut self, enabled: bool) {
-        self.registry.set_admission_pruning(enabled);
-    }
-
     /// Iterates the registered query handles in registration order.
     pub fn query_ids(&self) -> impl Iterator<Item = QueryId> + '_ {
         self.registry.query_ids()
@@ -1799,11 +1609,11 @@ impl Hub {
     /// clean slide boundary per query; a hub restored from it emits
     /// byte-identical results for any subsequently published stream.
     pub fn checkpoint(&self) -> Checkpoint {
-        let mut enc = Encoder::new();
+        let mut enc = Encoder::framed(0);
         enc.put_u64(self.next_id);
         enc.put_usize(1);
         enc.section(tags::REGISTRY, |e| self.registry.encode_checkpoint(e));
-        Checkpoint::from_payload(enc.into_payload())
+        Checkpoint::seal(enc)
     }
 
     /// Rebuilds a hub from a [`Checkpoint`], constructing each session's
@@ -1844,7 +1654,7 @@ mod tests {
     use super::*;
     use crate::events::TopKEvent;
     use crate::object::top_k_of;
-    use crate::test_support::{Toy, ToyTimed};
+    use crate::test_support::{count, shared, timed, Toy, ToyTimed};
 
     fn stream(len: usize) -> Vec<Object> {
         (0..len)
@@ -1965,8 +1775,8 @@ mod tests {
     #[test]
     fn hub_fans_out_to_heterogeneous_queries() {
         let mut hub = Hub::new();
-        let fast = hub.register_alg(Toy::new(4, 1, 2));
-        let slow = hub.register_alg(Toy::new(8, 2, 4));
+        let fast = hub.register_engine(count(Toy::new(4, 1, 2)).into());
+        let slow = hub.register_engine(count(Toy::new(8, 2, 4)).into());
         assert_eq!(hub.len(), 2);
 
         let updates = hub.publish(&stream(4));
@@ -1985,8 +1795,8 @@ mod tests {
     #[test]
     fn hub_register_unregister_at_runtime() {
         let mut hub = Hub::new();
-        let a = hub.register_alg(Toy::new(2, 1, 1));
-        let b = hub.register_alg(Toy::new(2, 1, 1));
+        let a = hub.register_engine(count(Toy::new(2, 1, 1)).into());
+        let b = hub.register_engine(count(Toy::new(2, 1, 1)).into());
         assert_ne!(a, b);
         assert_eq!(hub.query_ids().collect::<Vec<_>>(), vec![a, b]);
 
@@ -2000,7 +1810,7 @@ mod tests {
         assert_eq!(hub.len(), 1);
 
         // b keeps running; new registrations get fresh ids
-        let c = hub.register_alg(Toy::new(4, 1, 2));
+        let c = hub.register_engine(count(Toy::new(4, 1, 2)).into());
         assert_ne!(c, a);
         assert_ne!(c, b);
         let updates = hub.publish(&stream(2));
@@ -2069,10 +1879,10 @@ mod tests {
     #[test]
     fn hub_registration_mid_stream_starts_clean() {
         let mut hub = Hub::new();
-        let early = hub.register_alg(Toy::new(4, 1, 2));
+        let early = hub.register_engine(count(Toy::new(4, 1, 2)).into());
         hub.publish(&stream(10));
         // a query joining after 10 objects must slide on *its* arrivals
-        let late = hub.register_alg(Toy::new(4, 1, 2));
+        let late = hub.register_engine(count(Toy::new(4, 1, 2)).into());
         let updates = hub.publish(&stream(4));
         assert_eq!(hub.session(early).unwrap().slides(), 7);
         assert_eq!(hub.session(late).unwrap().slides(), 2);
@@ -2133,8 +1943,8 @@ mod tests {
     #[test]
     fn hub_mixes_count_and_timed_queries_on_one_stream() {
         let mut hub = Hub::new();
-        let count = hub.register_alg(Toy::new(4, 1, 2));
-        let timed = hub.register_timed_alg(ToyTimed::new(20, 10, 1));
+        let count = hub.register_engine(count(Toy::new(4, 1, 2)).into());
+        let timed = hub.register_engine(timed(ToyTimed::new(20, 10, 1)).into());
         assert_eq!(hub.len(), 2);
         assert!(hub.session(count).is_some() && hub.timed_session(count).is_none());
         assert!(hub.timed_session(timed).is_some() && hub.session(timed).is_none());
@@ -2185,11 +1995,9 @@ mod tests {
         let geoms = [(40u64, 10u64, 2usize), (20, 10, 1), (50, 25, 3)];
         let mut pairs = Vec::new();
         for &(wd, sd, k) in &geoms {
-            let iso = hub.register_timed_alg(ToyTimed::new(wd, sd, k));
+            let iso = hub.register_engine(timed(ToyTimed::new(wd, sd, k)).into());
             let reduced = (wd / sd) as usize * k;
-            let shared = hub
-                .register_shared_alg(Toy::new(reduced, k, k), wd, sd)
-                .unwrap();
+            let shared = hub.register_engine(shared(Toy::new(reduced, k, k), wd, sd).into());
             pairs.push((iso, shared));
         }
         let data = timed_stream(120);
@@ -2225,8 +2033,8 @@ mod tests {
         use std::collections::HashMap;
         let mut hub = Hub::new();
         let data = timed_stream(160);
-        let early_iso = hub.register_timed_alg(ToyTimed::new(40, 10, 2));
-        let early_shared = hub.register_shared_alg(Toy::new(8, 2, 2), 40, 10).unwrap();
+        let early_iso = hub.register_engine(timed(ToyTimed::new(40, 10, 2)).into());
+        let early_shared = hub.register_engine(shared(Toy::new(8, 2, 2), 40, 10).into());
         let mut by_query: HashMap<QueryId, Vec<SlideResult>> = HashMap::new();
         let fold = |updates: Vec<QueryUpdate>,
                     by_query: &mut HashMap<QueryId, Vec<SlideResult>>| {
@@ -2240,8 +2048,8 @@ mod tests {
         }
         // a mid-stream join with a LARGER k deepens the group's digests;
         // until its join slide closes it runs on a private warm-up view
-        let late_iso = hub.register_timed_alg(ToyTimed::new(20, 10, 4));
-        let late_shared = hub.register_shared_alg(Toy::new(8, 4, 4), 20, 10).unwrap();
+        let late_iso = hub.register_engine(timed(ToyTimed::new(20, 10, 4)).into());
+        let late_shared = hub.register_engine(shared(Toy::new(8, 4, 4), 20, 10).into());
         assert!(hub.shared_session(late_shared).unwrap().is_warming_up());
         for chunk in data[80..].chunks(11) {
             let updates = hub.publish_timed(chunk);
@@ -2270,22 +2078,22 @@ mod tests {
         let mut hub = Hub::new();
         // wrong engine geometry never registers: ⟨6, 2, 2⟩ is not the
         // reduction of W⟨20, 10⟩ for k = 2
+        let wrong: Box<dyn SlidingTopK> = Box::new(Toy::new(6, 2, 2));
         assert!(matches!(
-            hub.register_shared_alg(Toy::new(6, 2, 2), 20, 10),
+            HubSubscription::shared(wrong, 20, 10, Predicate::default()),
             Err(SapError::Spec(_))
         ));
-        assert!(hub.is_empty());
-        let q = hub.register_shared_alg(Toy::new(4, 2, 2), 20, 10).unwrap();
+        let q = hub.register_engine(shared(Toy::new(4, 2, 2), 20, 10).into());
         hub.publish_timed(&[TimedObject::new(0, 5, 1.0), TimedObject::new(1, 12, 2.0)]);
         assert_eq!(hub.stats().digest_groups, 1);
         assert_eq!(hub.shared_session(q).unwrap().slides(), 1);
         assert!(hub.session(q).is_none() && hub.timed_session(q).is_none());
         let session = hub.unregister(q).unwrap();
-        let shared = session.into_shared().expect("shared model");
-        assert_eq!(shared.slides(), 1);
-        assert_eq!(shared.timed_spec().slide_duration, 10);
+        let member = session.into_shared().expect("shared model");
+        assert_eq!(member.slides(), 1);
+        assert_eq!(member.timed_spec().slide_duration, 10);
         // the last member out of a class takes the class's consumer along
-        let engine = shared.engine().expect("last member rehydrates");
+        let engine = member.engine().expect("last member rehydrates");
         assert_eq!(engine.spec().k, 2);
         assert_eq!(
             hub.stats().digest_groups,
@@ -2293,14 +2101,14 @@ mod tests {
             "the last member out retires the group"
         );
         // a later registrant founds a fresh, pristine group: no warm-up
-        let q2 = hub.register_shared_alg(Toy::new(4, 2, 2), 20, 10).unwrap();
+        let q2 = hub.register_engine(shared(Toy::new(4, 2, 2), 20, 10).into());
         assert!(!hub.shared_session(q2).unwrap().is_warming_up());
     }
 
     #[test]
     fn plain_publish_does_not_advance_timed_queries() {
         let mut hub = Hub::new();
-        let timed = hub.register_timed_alg(ToyTimed::new(20, 10, 1));
+        let timed = hub.register_engine(timed(ToyTimed::new(20, 10, 1)).into());
         let updates = hub.publish(&stream(50));
         assert!(
             updates.is_empty(),
@@ -2317,7 +2125,7 @@ mod tests {
         assert!(hub.session(QueryId(0)).is_none());
         // the no-op really drops the batch: a query registered afterwards
         // starts from its own first published object, not the dropped one
-        let late = hub.register_alg(Toy::new(2, 1, 1));
+        let late = hub.register_engine(count(Toy::new(2, 1, 1)).into());
         let updates = hub.publish(&stream(1));
         assert_eq!(updates.len(), 1);
         assert_eq!(updates[0].query, late);

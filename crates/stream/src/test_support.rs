@@ -6,6 +6,8 @@
 use crate::checkpoint::{CheckpointError, CheckpointState, Decoder, Encoder};
 use crate::metrics::OpStats;
 use crate::object::{top_k_of, Object, TimedObject};
+use crate::predicate::Predicate;
+use crate::subscription::{ShardSubscription, Subscription};
 use crate::window::{SlidingTopK, TimedTopK, WindowSpec};
 
 /// Minimal count-based reference: keeps the raw window and rescans.
@@ -157,4 +159,29 @@ impl TimedTopK for ToyTimed {
     fn name(&self) -> &str {
         "toy-timed"
     }
+}
+
+/// An isolated count-based subscription over a [`Toy`]. Built `Send` so
+/// it registers on either hub (`.into()` for the sequential one).
+pub(crate) fn count(engine: Toy) -> ShardSubscription {
+    Subscription::count(Box::new(engine) as Box<dyn SlidingTopK + Send>)
+}
+
+/// An isolated time-based subscription over a [`ToyTimed`].
+pub(crate) fn timed(engine: ToyTimed) -> ShardSubscription {
+    Subscription::timed(Box::new(engine) as Box<dyn TimedTopK + Send>)
+}
+
+/// A shared-digest-plane subscription; `engine` runs the reduction of
+/// `W⟨wd, sd⟩`.
+pub(crate) fn shared(engine: Toy, wd: u64, sd: u64) -> ShardSubscription {
+    let engine: Box<dyn SlidingTopK + Send> = Box::new(engine);
+    Subscription::shared(engine, wd, sd, Predicate::default()).unwrap()
+}
+
+/// A shared-count-plane subscription; `engine` runs the reduction of
+/// `⟨n, k, s⟩`.
+pub(crate) fn grouped(engine: Toy, n: usize, s: usize) -> ShardSubscription {
+    let engine: Box<dyn SlidingTopK + Send> = Box::new(engine);
+    Subscription::grouped(engine, n, s, Predicate::default()).unwrap()
 }

@@ -141,7 +141,9 @@ fn main() {
     for q in &queries {
         hub.register(q).expect("valid query");
     }
-    let bomb_id = hub.register_alg(Bomb::new(300, 5, 50)).expect("registered");
+    let bomb_id = hub
+        .register_engine(Subscription::count(Box::new(Bomb::new(300, 5, 50))))
+        .expect("registered");
     println!(
         "=== {} queries ({} tenants + 1 bomb) on {SHARDS} shards, {} objects ===",
         hub.len(),

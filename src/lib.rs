@@ -90,8 +90,8 @@ pub mod prelude;
 
 use sap_core::TimeBased;
 use sap_stream::{
-    AlgorithmKind, AsyncHub, EngineFactory, Hub, Query, QueryId, SapError, Session, SlidingTopK,
-    TimedSession, TimedSpec, TimedTopK, WindowSpec,
+    AlgorithmKind, AsyncHub, EngineFactory, Hub, Query, QueryId, SapError, Session,
+    ShardSubscription, SlidingTopK, Subscription, TimedSession, TimedSpec, TimedTopK, WindowSpec,
 };
 
 /// Builds the boxed engine a count-based [`Query`] describes, dispatching
@@ -249,8 +249,15 @@ impl QueryExt for Query {
 }
 
 /// Query registration on [`Hub`] and [`AsyncHub`], available via
-/// [`prelude`].
+/// [`prelude`]. Each method validates and builds the query's engine
+/// into a [`Subscription`], then hands it to the hub's one
+/// `register_engine` — the only method a hub implements here.
 pub trait HubExt {
+    /// Registers a built subscription: the hub's own `register_engine`.
+    /// Engines are [`Send`] so one subscription builder serves both hubs
+    /// (every engine in this workspace is).
+    fn register_subscription(&mut self, sub: ShardSubscription) -> Result<QueryId, SapError>;
+
     /// Validates and constructs a query — **of either window model** —
     /// then registers it as a standing subscription, returning its
     /// handle. Count-based queries slide on published arrival counts;
@@ -262,7 +269,17 @@ pub trait HubExt {
     /// query carrying a non-trivial [`Query::filter`] predicate is
     /// rejected with [`SapError::PredicateUnsupported`] — register it on
     /// a shared plane instead.
-    fn register(&mut self, query: &Query) -> Result<QueryId, SapError>;
+    fn register(&mut self, query: &Query) -> Result<QueryId, SapError> {
+        if !query.predicate().is_pass_all() {
+            return Err(SapError::PredicateUnsupported);
+        }
+        let sub = if query.is_time_based() {
+            Subscription::timed(build_timed(query)?)
+        } else {
+            Subscription::count(build_send(query)?)
+        };
+        self.register_subscription(sub)
+    }
 
     /// Validates and constructs a **time-based** query, then registers it
     /// on the hub's shared digest plane: every registered query with the
@@ -272,7 +289,16 @@ pub trait HubExt {
     /// Predicate-disjoint queries on one slide duration form separate
     /// sub-groups, so a selective subscription never perturbs a pass-all
     /// neighbor. A count-based query is [`SapError::NotTimeBased`].
-    fn register_shared(&mut self, query: &Query) -> Result<QueryId, SapError>;
+    fn register_shared(&mut self, query: &Query) -> Result<QueryId, SapError> {
+        let spec = query.validate_timed()?;
+        let engine = build_engine(spec.reduced().map_err(SapError::Spec)?, query)?;
+        self.register_subscription(Subscription::shared(
+            engine,
+            spec.window_duration,
+            spec.slide_duration,
+            query.predicate(),
+        )?)
+    }
 
     /// Validates and constructs a **count-based** query, then registers
     /// it on the hub's shared count plane: queries are grouped by window
@@ -282,83 +308,29 @@ pub trait HubExt {
     /// group's shared per-slide digest — with results byte-identical to
     /// [`register`](HubExt::register). A time-based query is
     /// [`SapError::NotCountBased`].
-    fn register_grouped(&mut self, query: &Query) -> Result<QueryId, SapError>;
-}
-
-/// Isolated registrations carry no admission plane: reject a filtered
-/// query up front instead of silently ignoring its predicate.
-fn reject_isolated_predicate(query: &Query) -> Result<(), SapError> {
-    if query.predicate().is_pass_all() {
-        Ok(())
-    } else {
-        Err(SapError::PredicateUnsupported)
-    }
-}
-
-impl HubExt for Hub {
-    fn register(&mut self, query: &Query) -> Result<QueryId, SapError> {
-        reject_isolated_predicate(query)?;
-        if query.is_time_based() {
-            let engine: Box<dyn TimedTopK> = build_timed(query)?;
-            Ok(self.register_timed_boxed(engine))
-        } else {
-            Ok(self.register_boxed(build(query)?))
-        }
-    }
-
-    fn register_shared(&mut self, query: &Query) -> Result<QueryId, SapError> {
-        let spec = query.validate_timed()?;
-        let engine = build_engine(spec.reduced().map_err(SapError::Spec)?, query)?;
-        self.register_shared_filtered_boxed(
-            engine,
-            spec.window_duration,
-            spec.slide_duration,
-            query.predicate(),
-        )
-    }
-
     fn register_grouped(&mut self, query: &Query) -> Result<QueryId, SapError> {
         let spec = query.validate()?;
         let reduced = TimedSpec::new(spec.n as u64, spec.s as u64, spec.k)
             .and_then(|t| t.reduced())
             .map_err(SapError::Spec)?;
-        let engine: Box<dyn SlidingTopK> = build_engine(reduced, query)?;
-        self.register_grouped_filtered_boxed(engine, spec.n, spec.s, query.predicate())
-    }
-}
-
-impl HubExt for AsyncHub {
-    fn register(&mut self, query: &Query) -> Result<QueryId, SapError> {
-        reject_isolated_predicate(query)?;
-        if query.is_time_based() {
-            self.register_timed_boxed(build_timed(query)?)
-        } else {
-            self.register_boxed(build_send(query)?)
-        }
-    }
-
-    fn register_shared(&mut self, query: &Query) -> Result<QueryId, SapError> {
-        let spec = query.validate_timed()?;
-        let engine = build_engine(spec.reduced().map_err(SapError::Spec)?, query)?;
-        self.register_shared_filtered_boxed(
-            engine,
-            spec.window_duration,
-            spec.slide_duration,
-            query.predicate(),
-        )
-    }
-
-    fn register_grouped(&mut self, query: &Query) -> Result<QueryId, SapError> {
-        let spec = query.validate()?;
-        let reduced = TimedSpec::new(spec.n as u64, spec.s as u64, spec.k)
-            .and_then(|t| t.reduced())
-            .map_err(SapError::Spec)?;
-        self.register_grouped_filtered_boxed(
+        self.register_subscription(Subscription::grouped(
             build_engine(reduced, query)?,
             spec.n,
             spec.s,
             query.predicate(),
-        )
+        )?)
+    }
+}
+
+impl HubExt for Hub {
+    fn register_subscription(&mut self, sub: ShardSubscription) -> Result<QueryId, SapError> {
+        Ok(self.register_engine(sub.into()))
+    }
+}
+
+impl HubExt for AsyncHub {
+    fn register_subscription(&mut self, sub: ShardSubscription) -> Result<QueryId, SapError> {
+        self.register_engine(sub)
     }
 }
 

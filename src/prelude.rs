@@ -8,7 +8,8 @@
 //! with [`HubExt::register`], the shared digest plane's
 //! [`HubExt::register_shared`], and the shared count plane's
 //! [`HubExt::register_grouped`] (plus their [`HubStats`] sharing
-//! metrics), flexible
+//! metrics, the engine-level [`Subscription`] behind all three, and the
+//! construction-time [`ServingConfig`]), flexible
 //! ingestion ([`Ingest`]/[`TimedIngest`]), typed result deltas
 //! ([`TopKEvent`]/[`SlideResult`]), the data model (count-based
 //! [`Object`] and timestamped [`TimedObject`]), the workload generators
@@ -21,12 +22,12 @@ pub use crate::{build, build_send, build_timed, DefaultEngineFactory, HubExt, Qu
 pub use sap_stream::{
     run, run_collecting, AlgorithmKind, AnySession, ArrivalProcess, AsyncHub, Checkpoint,
     CheckpointError, CheckpointState, Dataset, DigestProducer, DigestRef, DigestView,
-    EngineFactory, EventList, FifoScheduler, GroupedSession, Hub, HubSession, HubStats, Ingest,
-    Object, OpStats, Predicate, Query, QueryId, QuerySpec, QueryState, QueryUpdate, RunSummary,
-    SapError, SapPolicy, Scheduler, ScoreKey, SeededScheduler, Session, ShardSession,
-    SharedSession, SharedTimed, SlideDigest, SlideResult, SlideScratch, SlidingTopK, Snapshot,
-    SpecError, TimedIngest, TimedObject, TimedSession, TimedSpec, TimedTopK, TopKEvent, WindowSpec,
-    Workload,
+    EngineFactory, EventList, FifoScheduler, GroupedSession, Hub, HubSession, HubStats,
+    HubSubscription, Ingest, Object, OpStats, Predicate, Query, QueryId, QuerySpec, QueryState,
+    QueryUpdate, RunSummary, SapError, SapPolicy, Scheduler, ScoreKey, SeededScheduler,
+    ServingConfig, Session, ShardSession, ShardSubscription, SharedSession, SharedTimed,
+    SlideDigest, SlideResult, SlideScratch, SlidingTopK, Snapshot, SpecError, Subscription,
+    TimedIngest, TimedObject, TimedSession, TimedSpec, TimedTopK, TopKEvent, WindowSpec, Workload,
 };
 
 pub use sap_core::{Sap, SapConfig, TimeBased, TimeBasedSap};

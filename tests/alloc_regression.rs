@@ -586,12 +586,18 @@ fn async_park_wake_cycle_stays_under_constant_bound() {
     // matter how often the publisher parks. A deliberately slow engine
     // behind a capacity-1 queue forces a park on essentially every
     // measured publish.
-    let mut hub = AsyncHub::with_config(1, 1, 1, Box::new(Enrolling(FifoScheduler)));
+    let mut hub = AsyncHub::with_config(
+        1,
+        1,
+        1,
+        Box::new(Enrolling(FifoScheduler)),
+        ServingConfig::default(),
+    );
     for _ in 0..4 {
-        hub.register_alg(Sleepy {
+        hub.register_engine(Subscription::count(Box::new(Sleepy {
             spec: WindowSpec::new(4, 1, 4).unwrap(),
             empty: Vec::new(),
-        })
+        })))
         .unwrap();
     }
     let batch: Vec<Object> = (0..4u64).map(|i| Object::new(i, 7.0)).collect();

@@ -598,8 +598,10 @@ fn async_checkpoint_taken_before_a_kill_restores_cleanly() {
     fold_all(&mut sums, drained);
 
     // now the production incident: a poisoned engine joins and detonates
-    hub.register_boxed(Box::new(Bomb(WindowSpec::new(4, 1, 2).unwrap())))
-        .expect("registration is healthy");
+    hub.register_engine(Subscription::count(Box::new(Bomb(
+        WindowSpec::new(4, 1, 2).unwrap(),
+    ))))
+    .expect("registration is healthy");
     hub.publish(chunks[cut])
         .expect("death is observed at the barrier");
     assert!(matches!(hub.drain(), Err(SapError::ShardDown { .. })));
@@ -649,7 +651,9 @@ fn unknown_engine_is_a_typed_error() {
 
     let mut hub = Hub::new();
     let q = Query::window(8).top(2).slide(4);
-    hub.register_alg(Custom(q.build().expect("valid query")));
+    hub.register_engine(Subscription::count(Box::new(Custom(
+        q.build().expect("valid query"),
+    ))));
     let ckpt = hub.checkpoint();
     match Hub::restore(&ckpt, &DefaultEngineFactory) {
         Err(SapError::Checkpoint(CheckpointError::UnknownEngine(name))) => {

@@ -20,6 +20,14 @@ use sap::prelude::*;
 mod common;
 use common::fold_all;
 
+/// The serving config with result-class sharing in the given position.
+fn sharing_config(sharing: bool) -> ServingConfig {
+    ServingConfig {
+        result_class_sharing: sharing,
+        ..ServingConfig::default()
+    }
+}
+
 fn stream(scores: &[u8]) -> Vec<Object> {
     scores
         .iter()
@@ -82,15 +90,13 @@ impl Schedule<'_> {
     }
 
     /// Sequential hub; `grouped` picks the registration path and
-    /// `sharing` the result-class knob value before each registration
-    /// phase (the knob only affects future registrations, so `(false,
-    /// true)` produces a mixed classed/unclassed population).
+    /// `sharing` the hub's result-class knob.
     fn run_hub(
         &self,
         grouped: bool,
-        sharing: (bool, bool),
+        sharing: bool,
     ) -> (BTreeMap<QueryId, u64>, Option<QueryId>, HubStats) {
-        let mut hub = Hub::new();
+        let mut hub = Hub::with_config(sharing_config(sharing));
         let register = |hub: &mut Hub, q: &Query| {
             if grouped {
                 hub.register_grouped(q).unwrap()
@@ -99,7 +105,6 @@ impl Schedule<'_> {
             }
         };
         let mut sums = BTreeMap::new();
-        hub.set_result_class_sharing(sharing.0);
         for q in &self.queries[..self.early] {
             register(&mut hub, q);
         }
@@ -113,7 +118,6 @@ impl Schedule<'_> {
         if let Some(id) = dropped {
             hub.unregister(id).expect("registered in phase one");
         }
-        hub.set_result_class_sharing(sharing.1);
         for q in &self.queries[self.early..] {
             register(&mut hub, q);
         }
@@ -125,16 +129,10 @@ impl Schedule<'_> {
     }
 
     /// A parallel hub, all queries on the shared count plane (classed
-    /// serving inside worker bursts unless `class_sharing` is off).
-    fn run_async(
-        &self,
-        mut hub: AsyncHub,
-        class_sharing: bool,
-    ) -> (BTreeMap<QueryId, u64>, Option<QueryId>, HubStats) {
+    /// serving inside worker bursts unless the hub's config turns it
+    /// off).
+    fn run_async(&self, mut hub: AsyncHub) -> (BTreeMap<QueryId, u64>, Option<QueryId>, HubStats) {
         let mut sums = BTreeMap::new();
-        if !class_sharing {
-            hub.set_result_class_sharing(false).unwrap();
-        }
         for q in &self.queries[..self.early] {
             hub.register_grouped(q).unwrap();
         }
@@ -255,10 +253,10 @@ proptest! {
             cuts: &cuts,
         };
 
-        let (expected, iso_dropped, iso_stats) = schedule.run_hub(false, (true, true));
+        let (expected, iso_dropped, iso_stats) = schedule.run_hub(false, true);
         prop_assert!(!expected.is_empty());
         prop_assert!(iso_stats.count_group_rebuilds > 0, "isolated slides count as rebuilds");
-        let (grouped, grouped_dropped, grouped_stats) = schedule.run_hub(true, (true, true));
+        let (grouped, grouped_dropped, grouped_stats) = schedule.run_hub(true, true);
         prop_assert_eq!(grouped_dropped, iso_dropped);
         prop_assert_eq!(
             &grouped, &expected,
@@ -269,7 +267,7 @@ proptest! {
         prop_assert_eq!(grouped_stats.count_group_rebuilds, 0, "no isolated sessions here");
         for shards in [1usize, 2, 8] {
             let (got, par_dropped, par_stats) =
-                schedule.run_async(AsyncHub::new(shards, shards), true);
+                schedule.run_async(AsyncHub::new(shards, shards));
             prop_assert_eq!(par_dropped, iso_dropped, "unregister targets diverged");
             prop_assert_eq!(
                 &got, &expected,
@@ -282,9 +280,9 @@ proptest! {
     }
 
     /// The memoization property: result-class serving (the default), the
-    /// pre-memoization per-member path (knob off), a mixed population
-    /// (knob flipped mid-stream), the parallel hub with the knob off, and
-    /// the parallel hub under seeded schedules all produce identical
+    /// pre-memoization per-member path (knob off), the parallel hub with
+    /// the knob off, and the parallel hub under seeded schedules all
+    /// produce identical
     /// per-query event checksums to the isolated hub — which the oracle
     /// property above anchors to brute force. Geometries are drawn in
     /// duplicate so multi-member classes actually form.
@@ -318,9 +316,9 @@ proptest! {
             cuts: &cuts,
         };
 
-        let (expected, iso_dropped, _) = schedule.run_hub(false, (true, true));
+        let (expected, iso_dropped, _) = schedule.run_hub(false, true);
         prop_assert!(!expected.is_empty());
-        let (memo, memo_dropped, memo_stats) = schedule.run_hub(true, (true, true));
+        let (memo, memo_dropped, memo_stats) = schedule.run_hub(true, true);
         prop_assert_eq!(memo_dropped, iso_dropped);
         prop_assert_eq!(&memo, &expected, "classed hub diverged from isolated");
         prop_assert!(
@@ -328,25 +326,28 @@ proptest! {
             "duplicated geometries must form multi-member classes"
         );
 
-        let (off, off_dropped, off_stats) = schedule.run_hub(true, (false, false));
+        let (off, off_dropped, off_stats) = schedule.run_hub(true, false);
         prop_assert_eq!(off_dropped, iso_dropped);
         prop_assert_eq!(&off, &expected, "knob-off hub diverged from isolated");
         // knob off founds uniform solo classes — per-member serving, so
         // nothing is ever served off another member's computation
         prop_assert_eq!(off_stats.class_hits, 0);
 
-        let (mixed, mixed_dropped, _) = schedule.run_hub(true, (false, true));
-        prop_assert_eq!(mixed_dropped, iso_dropped);
-        prop_assert_eq!(&mixed, &expected, "mixed classed/unclassed hub diverged");
-
-        let (async_off, off_dropped, _) = schedule.run_async(AsyncHub::new(2, 2), false);
+        let async_off = AsyncHub::with_config(
+            2,
+            2,
+            sap::stream::DEFAULT_QUEUE_CAPACITY,
+            Box::new(FifoScheduler),
+            sharing_config(false),
+        );
+        let (async_off, off_dropped, _) = schedule.run_async(async_off);
         prop_assert_eq!(off_dropped, iso_dropped);
         prop_assert_eq!(&async_off, &expected, "knob-off parallel hub diverged");
 
         for (shards, workers) in [(1usize, 1usize), (2, 2), (8, 3)] {
             let scheduler = Box::new(SeededScheduler::new(seed));
             let hub = AsyncHub::with_scheduler(shards, workers, scheduler);
-            let (got, async_dropped, async_stats) = schedule.run_async(hub, true);
+            let (got, async_dropped, async_stats) = schedule.run_async(hub);
             prop_assert_eq!(async_dropped, iso_dropped);
             prop_assert_eq!(
                 &got, &expected,
@@ -367,8 +368,7 @@ proptest! {
 fn class_members_share_one_snapshot_allocation() {
     let data = stream(&(0..96).map(|i| (i * 5 % 23) as u8).collect::<Vec<_>>());
     let mut classed = Hub::new();
-    let mut off = Hub::new();
-    off.set_result_class_sharing(false);
+    let mut off = Hub::with_config(sharing_config(false));
     let members = 4usize;
     for hub in [&mut classed, &mut off] {
         for _ in 0..members {

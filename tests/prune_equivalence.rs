@@ -20,6 +20,14 @@ use sap::prelude::*;
 mod common;
 use common::fold_all;
 
+/// The serving config with admission pruning in the given position.
+fn pruning_config(pruning: bool) -> ServingConfig {
+    ServingConfig {
+        admission_pruning: pruning,
+        ..ServingConfig::default()
+    }
+}
+
 fn stream(scores: &[u8]) -> Vec<Object> {
     scores
         .iter()
@@ -112,8 +120,7 @@ impl Schedule<'_> {
     /// picks the plane (`register_shared`+`publish_timed` vs
     /// `register_grouped`+`publish`).
     fn run_hub(&self, pruning: bool, timed: bool) -> (BTreeMap<QueryId, u64>, HubStats) {
-        let mut hub = Hub::new();
-        hub.set_admission_pruning(pruning);
+        let mut hub = Hub::with_config(pruning_config(pruning));
         let register = |hub: &mut Hub, q: &Query| {
             if timed {
                 hub.register_shared(q).unwrap();
@@ -153,7 +160,7 @@ impl Schedule<'_> {
     }
 
     /// Async hub under a seeded adversarial schedule, same schedule,
-    /// knob broadcast to every shard.
+    /// every shard built with the knob in the given position.
     fn run_async(
         &self,
         shards: usize,
@@ -161,9 +168,13 @@ impl Schedule<'_> {
         pruning: bool,
         timed: bool,
     ) -> (BTreeMap<QueryId, u64>, HubStats) {
-        let mut hub =
-            AsyncHub::with_scheduler(shards, shards, Box::new(SeededScheduler::new(seed)));
-        hub.set_admission_pruning(pruning).unwrap();
+        let mut hub = AsyncHub::with_config(
+            shards,
+            shards,
+            sap::stream::DEFAULT_QUEUE_CAPACITY,
+            Box::new(SeededScheduler::new(seed)),
+            pruning_config(pruning),
+        );
         let mut sums = BTreeMap::new();
         for q in &self.queries[..self.early] {
             if timed {
@@ -244,8 +255,7 @@ proptest! {
             .slide(s)
             .algorithm(kinds[(kind_idx + 1) % 5]);
 
-        let mut hub = Hub::new();
-        hub.set_admission_pruning(pruning);
+        let mut hub = Hub::with_config(pruning_config(pruning));
         let sib = hub.register_grouped(&sibling).unwrap();
         let qid = hub.register_grouped(&query).unwrap();
         let mut got: Vec<Snapshot> = Vec::new();
@@ -459,8 +469,7 @@ fn pruned_counter_matches_an_independent_gate_resimulation() {
     assert!((rate - pruned as f64 / (admitted + pruned) as f64).abs() < 1e-12);
 
     // the reference arm on the same stream: zero prunes, same results
-    let mut off = Hub::new();
-    off.set_admission_pruning(false);
+    let mut off = Hub::with_config(pruning_config(false));
     off.register_grouped(&Query::window(24).top(2).slide(s))
         .unwrap();
     off.register_grouped(&Query::window(16).top(3).slide(s))
